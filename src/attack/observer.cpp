@@ -4,24 +4,9 @@
 
 namespace alert::attack {
 
-void PassiveObserver::set_vicinity(std::vector<util::Vec2> monitors,
-                                   double radius_m) {
-  monitors_ = std::move(monitors);
-  vicinity_radius_ = radius_m;
-}
-
-bool PassiveObserver::in_vicinity(util::Vec2 pos) const {
-  if (vicinity_radius_ <= 0.0 || monitors_.empty()) return true;
-  for (const util::Vec2 m : monitors_) {
-    if (util::distance(pos, m) <= vicinity_radius_) return true;
-  }
-  return false;
-}
-
 void PassiveObserver::record(EventKind kind, const net::Node& node,
                              const net::Packet& pkt, sim::Time when) {
   if (pkt.kind == net::PacketKind::Hello) return;
-  if (!in_vicinity(node.position(when))) return;
   ObservedEvent e;
   e.kind = kind;
   e.time = when;

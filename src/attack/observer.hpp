@@ -1,13 +1,15 @@
 #pragma once
 
 /// \file observer.hpp
-/// Passive eavesdropper substrate (Sec. 2.1 attack model): battery-powered
-/// adversaries that receive packets and record activity in their vicinity.
-/// The observer is a net::TraceListener; it records what a radio-equipped
+/// Passive eavesdropper substrate (Sec. 2.1 attack model): a global
+/// adversary that receives every packet and records the activity. The
+/// observer is a net::TraceListener; it records what a radio-equipped
 /// attacker could actually capture — who transmitted what, when, and which
 /// nodes received zone broadcasts. Attack analyses (timing, intersection,
-/// route tracing) run over this event log; ground-truth oracle fields are
-/// used only to *score* attacks, never to mount them.
+/// compromise) run over this event log; ground-truth oracle fields are
+/// used only to *score* attacks, never to mount them. A replication keeps
+/// the log only when one of those analyses reads it; route tracing alone
+/// runs online (RouteTraceReducer).
 
 #include <vector>
 
@@ -46,15 +48,10 @@ struct ObservedEvent {
 };
 
 /// Records protocol traffic (Data/Confirm/Nak/Cover; hellos excluded —
-/// they carry no flow information). Optionally restricted to events within
-/// `vicinity_radius` of any of a set of monitor positions, modeling a
-/// bounded adversary; by default the adversary is global (strongest case).
+/// they carry no flow information) as the strongest, global adversary.
 class PassiveObserver final : public net::TraceListener {
  public:
   explicit PassiveObserver(net::Network& network) : net_(network) {}
-
-  /// Restrict observation to discs around fixed monitor positions.
-  void set_vicinity(std::vector<util::Vec2> monitors, double radius_m);
 
   void on_transmit(const net::Node& sender, const net::Packet& pkt,
                    sim::Time air_start) override;
@@ -67,14 +64,11 @@ class PassiveObserver final : public net::TraceListener {
   void clear() { events_.clear(); }
 
  private:
-  [[nodiscard]] bool in_vicinity(util::Vec2 pos) const;
   void record(EventKind kind, const net::Node& node, const net::Packet& pkt,
               sim::Time when);
 
   net::Network& net_;
   std::vector<ObservedEvent> events_;
-  std::vector<util::Vec2> monitors_;
-  double vicinity_radius_ = 0.0;  ///< 0 = global observer
 };
 
 }  // namespace alert::attack

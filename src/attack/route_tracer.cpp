@@ -4,33 +4,38 @@
 
 namespace alert::attack {
 
-std::map<std::uint32_t, std::map<std::uint32_t, std::set<net::NodeId>>>
-transmitters_by_flow(const std::vector<ObservedEvent>& events) {
-  std::map<std::uint32_t, std::map<std::uint32_t, std::set<net::NodeId>>> out;
-  for (const auto& e : events) {
-    if (e.kind != EventKind::Transmit) continue;
-    if (e.packet_kind != net::PacketKind::Data) continue;
-    out[e.flow][e.seq].insert(e.node);
-  }
-  return out;
+void RouteTraceReducer::add(net::PacketKind kind, std::uint32_t flow,
+                            std::uint32_t seq, net::NodeId transmitter) {
+  if (kind != net::PacketKind::Data) return;
+  by_flow_[flow][seq].insert(transmitter);
 }
 
-RouteTraceResult trace_routes(const std::vector<ObservedEvent>& events) {
-  const auto by_flow = transmitters_by_flow(events);
+void RouteTraceReducer::on_transmit(const net::Node& sender,
+                                    const net::Packet& pkt,
+                                    sim::Time /*air_start*/) {
+  add(pkt.kind, pkt.flow, pkt.seq, sender.id());
+}
+
+void RouteTraceReducer::fold(const ObservedEvent& e) {
+  if (e.kind != EventKind::Transmit) return;
+  add(e.packet_kind, e.flow, e.seq, e.node);
+}
+
+RouteTraceResult RouteTraceReducer::result() const {
   RouteTraceResult result;
-  if (by_flow.empty()) return result;
+  if (by_flow_.empty()) return result;
 
   double overlap_sum = 0.0;
   std::size_t overlap_count = 0;
   double participants_sum = 0.0;
   std::size_t max_packets = 0;
-  for (const auto& [flow, by_seq] : by_flow) {
+  for (const auto& [flow, by_seq] : by_flow_) {
     max_packets = std::max(max_packets, by_seq.size());
   }
   std::vector<double> cumulative(max_packets, 0.0);
   std::vector<std::size_t> cumulative_n(max_packets, 0);
 
-  for (const auto& [flow, by_seq] : by_flow) {
+  for (const auto& [flow, by_seq] : by_flow_) {
     std::set<net::NodeId> all;
     const std::set<net::NodeId>* prev = nullptr;
     std::size_t idx = 0;
@@ -62,7 +67,7 @@ RouteTraceResult trace_routes(const std::vector<ObservedEvent>& events) {
       overlap_count > 0 ? overlap_sum / static_cast<double>(overlap_count)
                         : 0.0;
   result.mean_participating_nodes =
-      participants_sum / static_cast<double>(by_flow.size());
+      participants_sum / static_cast<double>(by_flow_.size());
   result.cumulative_participants_by_packet.resize(max_packets, 0.0);
   for (std::size_t i = 0; i < max_packets; ++i) {
     if (cumulative_n[i] > 0) {
@@ -71,6 +76,24 @@ RouteTraceResult trace_routes(const std::vector<ObservedEvent>& events) {
     }
   }
   return result;
+}
+
+namespace {
+
+RouteTraceReducer replay(const std::vector<ObservedEvent>& events) {
+  RouteTraceReducer reducer;
+  for (const ObservedEvent& e : events) reducer.fold(e);
+  return reducer;
+}
+
+}  // namespace
+
+TransmitterSets transmitters_by_flow(const std::vector<ObservedEvent>& events) {
+  return replay(events).transmitters();
+}
+
+RouteTraceResult trace_routes(const std::vector<ObservedEvent>& events) {
+  return replay(events).result();
 }
 
 }  // namespace alert::attack

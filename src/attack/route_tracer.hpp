@@ -8,6 +8,7 @@
 
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "attack/observer.hpp"
@@ -26,14 +27,44 @@ struct RouteTraceResult {
   std::vector<double> cumulative_participants_by_packet;
 };
 
-/// Analyze Data-packet transmitter sets per (flow, seq).
+/// Data-packet transmitter sets keyed by flow, then seq.
+using TransmitterSets =
+    std::map<std::uint32_t, std::map<std::uint32_t, std::set<net::NodeId>>>;
+
+/// Online route tracer: folds every Data transmission into per-(flow, seq)
+/// transmitter sets as it happens, so a replication that mounts no attack
+/// needs no event log. trace_routes() feeds a recorded log through the same
+/// fold, so the live and the replayed analysis cannot disagree.
+class RouteTraceReducer final : public net::TraceListener {
+ public:
+  void on_transmit(const net::Node& sender, const net::Packet& pkt,
+                   sim::Time air_start) override;
+
+  /// Fold one event of a recorded PassiveObserver log.
+  void fold(const ObservedEvent& e);
+
+  [[nodiscard]] const TransmitterSets& transmitters() const& {
+    return by_flow_;
+  }
+  [[nodiscard]] TransmitterSets transmitters() && {
+    return std::move(by_flow_);
+  }
+  [[nodiscard]] RouteTraceResult result() const;
+
+ private:
+  void add(net::PacketKind kind, std::uint32_t flow, std::uint32_t seq,
+           net::NodeId transmitter);
+
+  TransmitterSets by_flow_;
+};
+
+/// Analyze Data-packet transmitter sets per (flow, seq) of a recorded log.
 [[nodiscard]] RouteTraceResult trace_routes(
     const std::vector<ObservedEvent>& events);
 
 /// Per-(flow, seq) transmitter sets, ordered by seq (exposed for tests and
 /// for the intersection attack's session structure).
-[[nodiscard]] std::map<std::uint32_t,
-                       std::map<std::uint32_t, std::set<net::NodeId>>>
-transmitters_by_flow(const std::vector<ObservedEvent>& events);
+[[nodiscard]] TransmitterSets transmitters_by_flow(
+    const std::vector<ObservedEvent>& events);
 
 }  // namespace alert::attack

@@ -230,8 +230,15 @@ RunResult run_once(const ScenarioConfig& config,
       config.obs.metrics ? &metrics.histogram("app.hop_count", 0.0, 40.0, 40)
                          : nullptr);
   network.add_listener(&delivery);
-  attack::PassiveObserver observer(network);
-  network.add_listener(&observer);
+  attack::RouteTraceReducer routes;
+  network.add_listener(&routes);
+  // The full adversary log is kept only when an attack analysis reads it;
+  // the route-trace metrics above are folded online either way.
+  std::unique_ptr<attack::PassiveObserver> observer;
+  if (config.run_attacks || !config.compromise_budgets.empty()) {
+    observer = std::make_unique<attack::PassiveObserver>(network);
+    network.add_listener(observer.get());
+  }
   std::unique_ptr<attack::JsonlTraceWriter> trace_writer;
   if (!config.trace_path.empty() && replication_index == 0) {
     trace_writer =
@@ -355,7 +362,7 @@ RunResult run_once(const ScenarioConfig& config,
         energy.total() / static_cast<double>(result.delivered);
   }
 
-  const auto trace = attack::trace_routes(observer.events());
+  const attack::RouteTraceResult trace = routes.result();
   result.mean_participants = trace.mean_participating_nodes;
   result.mean_route_overlap = trace.mean_consecutive_overlap;
   result.cumulative_participants = trace.cumulative_participants_by_packet;
@@ -395,10 +402,10 @@ RunResult run_once(const ScenarioConfig& config,
   }
 
   if (config.run_attacks) {
-    const auto timing = attack::timing_attack(observer.events());
+    const auto timing = attack::timing_attack(observer->events());
     result.timing_source_rate = timing.source_identification_rate();
     result.timing_dest_rate = timing.dest_identification_rate();
-    const auto inter = attack::intersection_attack(observer.events());
+    const auto inter = attack::intersection_attack(observer->events());
     result.intersection_success = inter.mean_success_probability();
     result.intersection_identified = inter.identification_rate();
     result.intersection_frequency = inter.frequency_identification_rate();
@@ -413,11 +420,12 @@ RunResult run_once(const ScenarioConfig& config,
     result.compromise_blocked.reserve(config.compromise_budgets.size());
     for (const std::size_t budget : config.compromise_budgets) {
       result.compromise_targeted.push_back(
-          attack::targeted_next_packet_interception(observer.events(),
+          attack::targeted_next_packet_interception(observer->events(),
                                                     budget, compromise_rng));
       result.compromise_blocked.push_back(
-          attack::compromise_analysis(observer.events(), config.node_count,
-                                      budget, 100, compromise_rng)
+          attack::compromise_analysis(observer->events(),
+                                      config.node_count, budget, 100,
+                                      compromise_rng)
               .flow_blockage);
     }
   }

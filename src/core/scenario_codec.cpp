@@ -115,6 +115,24 @@ bool parse_outages(std::string_view s, std::vector<faults::Outage>* out) {
   return true;
 }
 
+/// Budget list codec: sizes joined by ',' (empty string = no budgets), the
+/// rendering canonical_scenario() emits for compromise_budgets.
+bool parse_size_list(std::string_view s, std::vector<std::size_t>* out) {
+  std::vector<std::size_t> parsed;
+  std::size_t pos = 0;
+  while (pos < s.size()) {
+    const std::size_t comma = std::min(s.find(',', pos), s.size());
+    std::size_t v = 0;
+    if (!parse_size_strict(s.substr(pos, comma - pos), &v)) return false;
+    parsed.push_back(v);
+    if (comma == s.size()) break;
+    pos = comma + 1;
+    if (pos == s.size()) return false;  // trailing ','
+  }
+  *out = std::move(parsed);
+  return true;
+}
+
 /// One sweepable parameter: how to set it from a string.
 using Setter =
     std::function<bool(ScenarioConfig&, std::string_view value)>;
@@ -157,6 +175,9 @@ const std::map<std::string, Setter, std::less<>>& setters() {
                  &ScenarioConfig::residency_sample_period_s);
     bool_field("destination_update", &ScenarioConfig::destination_update);
     bool_field("run_attacks", &ScenarioConfig::run_attacks);
+    m["compromise_budgets"] = [](ScenarioConfig& c, std::string_view v) {
+      return parse_size_list(v, &c.compromise_budgets);
+    };
 
     m["seed"] = [](ScenarioConfig& c, std::string_view v) {
       return parse_u64_strict(v, &c.seed);

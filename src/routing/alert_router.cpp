@@ -208,6 +208,8 @@ void AlertRouter::transmit_with_camouflage(net::Node& source,
       cover.alert = net::AlertFields{};
       // Garbage TTL ciphertext: nobody can decrypt it to the magic tag, so
       // every receiver drops the packet — the TTL=0 semantics of Sec. 2.6.
+      // Receivers drop covers by kind; the draw stays because the router's
+      // RNG stream (and with it every trace digest) depends on it.
       cover.alert->ttl_enc = rng_.next() | 1;
       ++stats_.cover_packets;
       net_.broadcast(*neighbor, std::move(cover));
@@ -257,21 +259,11 @@ void AlertRouter::resend(std::uint32_t flow, std::uint32_t seq) {
 void AlertRouter::handle(net::Node& self, const net::Packet& pkt) {
   ALERT_OBS_TIMED(profiler_, handle_scope_);
   switch (pkt.kind) {
-    case net::PacketKind::Cover: {
-      // Attempt to decrypt the TTL with our private key; cover packets
-      // never yield the magic tag, so they die here (Sec. 2.6).
-      if (pkt.alert && pkt.alert->ttl_enc) {
-        const std::uint64_t ttl_ct = *pkt.alert->ttl_enc % self.private_key().n;
-        const std::uint64_t v =
-            crypto::rsa_decrypt_value(self.private_key(), ttl_ct);
-        if ((v >> 8) == kTtlMagic) {
-          // Indistinguishable-from-cover real packet addressed to us would
-          // continue here; covers never reach this branch.
-          return;
-        }
-      }
+    case net::PacketKind::Cover:
+      // TTL=0 cover traffic (Sec. 2.6) dies at every receiver. Its garbage
+      // TTL ciphertext never unseals to the magic tag, and the failed
+      // attempt is neither charged nor audited, so no decryption is run.
       return;
-    }
     case net::PacketKind::Data:
     case net::PacketKind::Confirm:
     case net::PacketKind::Nak:

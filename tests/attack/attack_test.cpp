@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "attack/intersection_attack.hpp"
 #include "attack/observer.hpp"
 #include "attack/route_tracer.hpp"
 #include "attack/timing_attack.hpp"
 #include "attack/zone_residency.hpp"
 #include "net/mobility.hpp"
+#include "routing/alert_router.hpp"  // alert-lint: allow(module-layering) test traces live routes of the real routers
+#include "routing/gpsr.hpp"  // alert-lint: allow(module-layering) test traces live routes of the real routers
+#include "routing/protocol_fixture.hpp"  // alert-lint: allow(module-layering) shared router fixture for the live-route test
 #include "sim/simulator.hpp"  // alert-lint: allow(module-layering) test drives the adversary against a live simulator
 
 namespace alert::attack {
@@ -87,6 +92,53 @@ TEST(RouteTracer, EmptyLogYieldsZeros) {
   const auto r = trace_routes({});
   EXPECT_DOUBLE_EQ(r.mean_participating_nodes, 0.0);
   EXPECT_TRUE(r.cumulative_participants_by_packet.empty());
+}
+
+// --- RouteTraceReducer ------------------------------------------------
+
+/// Runs a tiny mobile scenario with both the online reducer and the full
+/// observer log attached: the reducer must reproduce, field for field, what
+/// trace_routes() computes over the log.
+void expect_reducer_matches_log(bool alert) {
+  routing::testing::ProtocolFixture f(40, 4.0, 40.0,
+                                      {0.0, 0.0, 600.0, 600.0});
+  RouteTraceReducer reducer;
+  PassiveObserver observer(*f.network);
+  f.network->add_listener(&reducer);
+  f.network->add_listener(&observer);
+  std::unique_ptr<routing::Protocol> router;
+  if (alert) {
+    router = std::make_unique<routing::AlertRouter>(*f.network, *f.location,
+                                                    routing::AlertConfig{});
+  } else {
+    router = std::make_unique<routing::GpsrRouter>(*f.network, *f.location,
+                                                   routing::GpsrConfig{});
+  }
+  f.warm_up();
+  for (std::uint32_t seq = 0; seq < 6; ++seq) {
+    f.simulator.schedule_at(4.0 + 3.0 * seq, [&router, seq] {
+      router->send(0, 39, 256, 0, seq);
+      router->send(7, 21, 256, 1, seq);
+    });
+  }
+  f.simulator.run_until(40.0);
+
+  const RouteTraceResult live = reducer.result();
+  const RouteTraceResult replayed = trace_routes(observer.events());
+  ASSERT_GT(live.mean_participating_nodes, 0.0);
+  EXPECT_EQ(live.mean_consecutive_overlap, replayed.mean_consecutive_overlap);
+  EXPECT_EQ(live.mean_participating_nodes, replayed.mean_participating_nodes);
+  EXPECT_EQ(live.cumulative_participants_by_packet,
+            replayed.cumulative_participants_by_packet);
+  EXPECT_EQ(reducer.transmitters(), transmitters_by_flow(observer.events()));
+}
+
+TEST(RouteTraceReducer, MatchesLoggedAlertRoutes) {
+  expect_reducer_matches_log(/*alert=*/true);
+}
+
+TEST(RouteTraceReducer, MatchesLoggedGpsrRoutes) {
+  expect_reducer_matches_log(/*alert=*/false);
 }
 
 // --- TimingAttack ------------------------------------------------------

@@ -2,22 +2,19 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "net/mobility.hpp"
+#include "scratch_dir.hpp"
 #include "sim/simulator.hpp"  // alert-lint: allow(module-layering) test replays traces through a live simulator
 
 namespace alert::attack {
 namespace {
 
 struct TempPath {
-  TempPath() {
-    path = ::testing::TempDir() + "/alertsim_trace_test.jsonl";
-  }
-  ~TempPath() { std::remove(path.c_str()); }
-  std::string path;
+  test_support::ScratchDir dir{"alertsim-trace-test-"};
+  std::string path = dir.file("trace.jsonl");
 };
 
 TEST(TraceWriter, PacketKindTokens) {

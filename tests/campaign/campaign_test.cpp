@@ -17,6 +17,7 @@
 #include "campaign/result_codec.hpp"
 #include "campaign/spec.hpp"
 #include "core/scenario_codec.hpp"
+#include "scratch_dir.hpp"
 
 namespace alert::campaign {
 namespace {
@@ -58,25 +59,7 @@ std::string manifest_bytes(const obs::RunManifest& manifest) {
   return out.str();
 }
 
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag)
-      : path_((fs::path(::testing::TempDir()) /
-               (tag + std::to_string(counter_++)))
-                  .string()) {
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  [[nodiscard]] const std::string& path() const { return path_; }
-
- private:
-  static inline int counter_ = 0;
-  std::string path_;
-};
+using test_support::ScratchDir;
 
 // --- result codec ----------------------------------------------------------
 
@@ -108,7 +91,7 @@ TEST(ResultCodec, RejectsWrongSchema) {
 // --- cache -----------------------------------------------------------------
 
 TEST(ResultCache, StoreThenLoad) {
-  TempDir dir("alertsim-cache-test-");
+  ScratchDir dir("alertsim-cache-test-");
   ResultCache cache(dir.path());
   const core::RunResult run = core::run_once(tiny_scenario(), 0);
   const std::string key = core::scenario_unit_key(tiny_scenario(), 0);
@@ -121,7 +104,7 @@ TEST(ResultCache, StoreThenLoad) {
 }
 
 TEST(ResultCache, CorruptEntryIsAMiss) {
-  TempDir dir("alertsim-cache-test-");
+  ScratchDir dir("alertsim-cache-test-");
   ResultCache cache(dir.path());
   const std::string key = core::scenario_unit_key(tiny_scenario(), 0);
   fs::create_directories(fs::path(cache.object_path(key)).parent_path());
@@ -130,7 +113,7 @@ TEST(ResultCache, CorruptEntryIsAMiss) {
 }
 
 TEST(ResultCache, CorruptEntryOverwrittenByNextStore) {
-  TempDir dir("alertsim-cache-test-");
+  ScratchDir dir("alertsim-cache-test-");
   ResultCache cache(dir.path());
   const core::RunResult run = core::run_once(tiny_scenario(), 0);
   const std::string key = core::scenario_unit_key(tiny_scenario(), 0);
@@ -149,7 +132,7 @@ TEST(ResultCache, CorruptEntryOverwrittenByNextStore) {
 }
 
 TEST(ResultCache, RemoveHealsEntryUnderFinalName) {
-  TempDir dir("alertsim-cache-test-");
+  ScratchDir dir("alertsim-cache-test-");
   ResultCache cache(dir.path());
   const std::string key = core::scenario_unit_key(tiny_scenario(), 1);
   ASSERT_TRUE(cache.store(key, core::run_once(tiny_scenario(), 1)));
@@ -163,7 +146,7 @@ TEST(ResultCache, UnwritableRootCountsStoreErrors) {
   // Tests may run as root (CI containers), where permission bits are
   // ineffective — nest the cache root under a regular file instead, so
   // create_directories fails with ENOTDIR for every euid.
-  TempDir dir("alertsim-cache-test-");
+  ScratchDir dir("alertsim-cache-test-");
   const std::string blocker = dir.path() + "/blocker";
   std::ofstream(blocker) << "not a directory\n";
   ResultCache cache(blocker + "/cache");
@@ -214,7 +197,7 @@ TEST(ScenarioUnitKey, ChangesWithParamsAndReplication) {
 // --- journal ---------------------------------------------------------------
 
 TEST(Journal, PersistsAcrossReopen) {
-  TempDir dir("alertsim-journal-test-");
+  ScratchDir dir("alertsim-journal-test-");
   {
     Journal journal(dir.path(), "spec_a");
     EXPECT_EQ(journal.done_count(), 0u);
@@ -231,7 +214,7 @@ TEST(Journal, PersistsAcrossReopen) {
 }
 
 TEST(Journal, IgnoresTornTailLine) {
-  TempDir dir("alertsim-journal-test-");
+  ScratchDir dir("alertsim-journal-test-");
   { Journal(dir.path(), "spec_b").mark_done("aaaa"); }
   {
     // Simulate a process killed mid-append: a record missing its newline
@@ -246,7 +229,7 @@ TEST(Journal, IgnoresTornTailLine) {
 }
 
 TEST(Journal, DistRecordsPersistAndCount) {
-  TempDir dir("alertsim-journal-test-");
+  ScratchDir dir("alertsim-journal-test-");
   {
     Journal journal(dir.path(), "spec_d");
     journal.mark_claimed("aaaa", "worker-1");
@@ -275,7 +258,7 @@ TEST(Journal, DistRecordsPersistAndCount) {
 
 TEST(Journal, UnwritableDirCountsWriteErrorsInsteadOfSilence) {
   // Same ENOTDIR trick as the cache test: works under any euid.
-  TempDir dir("alertsim-journal-test-");
+  ScratchDir dir("alertsim-journal-test-");
   const std::string blocker = dir.path() + "/blocker";
   std::ofstream(blocker) << "not a directory\n";
   Journal journal(blocker + "/journal", "spec_e");
@@ -323,6 +306,21 @@ TEST(SpecLoader, ExpandsCurveMajor) {
   EXPECT_EQ(spec->x_label, "speed_mps");
 }
 
+TEST(SpecLoader, AcceptsCompromiseBudgets) {
+  // Every key canonical_scenario() emits is loadable, the budget list too.
+  std::string error;
+  const auto spec = load_spec_json(
+      R"({"schema":"alertsim-campaign-spec/1","name":"x",
+          "y_metric":"delivery_rate",
+          "base":{"run_attacks":true,"compromise_budgets":"1,2,4"},
+          "x":{"param":"speed_mps","values":[1]}})",
+      &error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  ASSERT_EQ(spec->points.size(), 1u);
+  EXPECT_EQ(spec->points[0].config.compromise_budgets,
+            (std::vector<std::size_t>{1, 2, 4}));
+}
+
 TEST(SpecLoader, RejectsBadInput) {
   std::string error;
   EXPECT_FALSE(load_spec_json("{}", &error));
@@ -353,7 +351,7 @@ CampaignOptions engine_options(const std::string& cache_dir,
 }
 
 TEST(Engine, CachedRerunIsByteIdentical) {
-  TempDir dir("alertsim-engine-test-");
+  ScratchDir dir("alertsim-engine-test-");
   const CampaignSpec spec = tiny_spec("engine_cached");
   const std::string out = dir.path() + "/m.json";
 
@@ -387,7 +385,7 @@ TEST(Engine, CachedRerunIsByteIdentical) {
 }
 
 TEST(Engine, ParamOrSeedChangeMissesCache) {
-  TempDir dir("alertsim-engine-test-");
+  ScratchDir dir("alertsim-engine-test-");
   const std::string cache = dir.path() + "/cache";
   CampaignSpec spec = tiny_spec("engine_miss");
   (void)run_campaign(spec, engine_options(cache, ""));
@@ -408,7 +406,7 @@ TEST(Engine, ParamOrSeedChangeMissesCache) {
 }
 
 TEST(Engine, ResumeAfterPartialRunMatchesUninterrupted) {
-  TempDir dir("alertsim-engine-test-");
+  ScratchDir dir("alertsim-engine-test-");
   const CampaignSpec spec = tiny_spec("engine_resume");
 
   // Uninterrupted reference, no cache involved (profile stripped: fresh
@@ -442,7 +440,7 @@ TEST(Engine, ResumeAfterPartialRunMatchesUninterrupted) {
 }
 
 TEST(Engine, RepsOverridePinsPointReplications) {
-  TempDir dir("alertsim-engine-test-");
+  ScratchDir dir("alertsim-engine-test-");
   CampaignSpec spec = tiny_spec("engine_override");
   spec.points[0].reps_override = 1;
   const CampaignOutcome outcome =
@@ -456,7 +454,7 @@ TEST(Engine, UnwritableCacheRootDegradesGracefully) {
   // every unit executed live) and must say so: store/journal failures are
   // counted on the outcome, never silent (satellite of docs/DIST.md's
   // failure matrix).
-  TempDir dir("alertsim-engine-test-");
+  ScratchDir dir("alertsim-engine-test-");
   const std::string blocker = dir.path() + "/blocker";
   std::ofstream(blocker) << "not a directory\n";
   const CampaignSpec spec = tiny_spec("engine_degraded");

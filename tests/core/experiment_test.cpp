@@ -147,6 +147,46 @@ TEST(Experiment, AttacksOnlyRunWhenRequested) {
   EXPECT_GT(on.timing_source_rate, 0.5);  // GPSR is exposed
 }
 
+// The adversary's event log is attached only when run_attacks or a
+// compromise budget reads it; route tracing is folded online either way.
+// Attaching the log must not move the simulation or the route metrics.
+void expect_observer_log_inert(ProtocolKind protocol) {
+  ScenarioConfig cfg = small_scenario();
+  cfg.protocol = protocol;
+  const RunResult without_log = run_once(cfg, 0);
+  cfg.run_attacks = true;
+  cfg.compromise_budgets = {1, 4};
+  const RunResult with_log = run_once(cfg, 0);
+  EXPECT_GT(without_log.mean_participants, 0.0);
+  EXPECT_EQ(with_log.trace_digest, without_log.trace_digest);
+  EXPECT_EQ(with_log.events_executed, without_log.events_executed);
+  EXPECT_EQ(with_log.mean_participants, without_log.mean_participants);
+  EXPECT_EQ(with_log.mean_route_overlap, without_log.mean_route_overlap);
+  EXPECT_EQ(with_log.cumulative_participants,
+            without_log.cumulative_participants);
+  EXPECT_EQ(with_log.compromise_targeted.size(), 2u);
+}
+
+TEST(Experiment, ObserverLogLeavesAlertRunUnchanged) {
+  expect_observer_log_inert(ProtocolKind::Alert);
+}
+
+TEST(Experiment, ObserverLogLeavesGpsrRunUnchanged) {
+  expect_observer_log_inert(ProtocolKind::Gpsr);
+}
+
+TEST(Experiment, NotifyAndGoCoverCostsMatchPinnedValues) {
+  // Pinned while every cover receiver still ran a host RSA decryption whose
+  // result was discarded. Covers are now dropped by kind; the cover count
+  // and the modelled crypto energy must not notice.
+  const ScenarioConfig cfg = small_scenario();
+  ASSERT_EQ(cfg.protocol, ProtocolKind::Alert);
+  ASSERT_TRUE(cfg.alert.notify_and_go);
+  const RunResult r = run_once(cfg, 0);
+  EXPECT_DOUBLE_EQ(r.cover_packets_per_data, 433.0 / 27.0);
+  EXPECT_DOUBLE_EQ(r.energy_crypto_j, 2.254);
+}
+
 TEST(Experiment, BenchReplicationsHonoursEnv) {
   ::unsetenv("ALERTSIM_REPS");
   EXPECT_EQ(bench_replications(10), 10u);

@@ -4,6 +4,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "campaign/spec.hpp"  // alert-lint: allow(module-layering) test checks fault scenarios round-trip campaign specs
 #include "core/scenario_codec.hpp"
@@ -97,6 +98,40 @@ TEST(FaultCodec, FaultKnobsRoundTripThroughParams) {
   }
   EXPECT_EQ(canonical_scenario(rebuilt), dump);
   EXPECT_EQ(scenario_unit_key(rebuilt, 0), scenario_unit_key(original, 0));
+}
+
+TEST(ScenarioCodec, CompromiseBudgetsRoundTripThroughParams) {
+  // canonical -> apply_scenario_param -> canonical is byte-identical,
+  // including the empty list (rendered as an empty value).
+  for (const std::vector<std::size_t>& budgets :
+       {std::vector<std::size_t>{}, std::vector<std::size_t>{4},
+        std::vector<std::size_t>{1, 2, 4, 8, 16}}) {
+    ScenarioConfig original = faulty_scenario();
+    original.run_attacks = true;
+    original.compromise_budgets = budgets;
+    const std::string dump = canonical_scenario(original);
+    ScenarioConfig rebuilt = original;
+    rebuilt.compromise_budgets = {99};
+    std::string error;
+    ASSERT_TRUE(apply_scenario_param(rebuilt, "compromise_budgets",
+                                     value_of(dump, "compromise_budgets"),
+                                     &error))
+        << error;
+    EXPECT_EQ(rebuilt.compromise_budgets, budgets);
+    EXPECT_EQ(canonical_scenario(rebuilt), dump);
+  }
+}
+
+TEST(ScenarioCodec, MalformedCompromiseBudgetsAreRejected) {
+  for (const char* bad : {",", "1,", ",1", "1,,2", "-1", "2;4", "x"}) {
+    ScenarioConfig cfg;
+    cfg.compromise_budgets = {3};
+    std::string error;
+    EXPECT_FALSE(apply_scenario_param(cfg, "compromise_budgets", bad, &error))
+        << bad;
+    EXPECT_NE(error.find("compromise_budgets"), std::string::npos);
+    EXPECT_EQ(cfg.compromise_budgets, std::vector<std::size_t>{3}) << bad;
+  }
 }
 
 TEST(FaultCodec, FaultKnobsChangeTheUnitKey) {

@@ -20,7 +20,6 @@
 #include <csignal>
 #include <cstddef>
 #include <chrono>
-#include <filesystem>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -37,6 +36,7 @@
 #include "dist/progress.hpp"
 #include "dist/queue.hpp"
 #include "dist/worker.hpp"
+#include "scratch_dir.hpp"
 
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer)
@@ -49,8 +49,6 @@
 
 namespace alert::dist {
 namespace {
-
-namespace fs = std::filesystem;
 
 constexpr std::size_t kPoints = 10;
 constexpr std::size_t kReps = 100;  // 10 x 100 = 1000 units
@@ -139,13 +137,8 @@ TEST(DistChaos, KilledWorkerIsReplacedAndManifestMatchesSerial) {
 #ifdef ALERTSIM_TSAN
   GTEST_SKIP() << "fork + threaded children is unsupported under TSan";
 #endif
-  const std::string base = (fs::path(::testing::TempDir()) /
-                            ("alertsim-dist-chaos-" +
-                             std::to_string(static_cast<unsigned long>(
-                                 ::getpid()))))
-                               .string();
-  fs::remove_all(base);
-  fs::create_directories(base);
+  const test_support::ScratchDir scratch("alertsim-dist-chaos-");
+  const std::string& base = scratch.path();
   const campaign::CampaignSpec spec = chaos_spec();
 
   // Uninterrupted single-worker reference on its own cache.
@@ -221,8 +214,6 @@ TEST(DistChaos, KilledWorkerIsReplacedAndManifestMatchesSerial) {
   EXPECT_TRUE(replacement_seen);
   EXPECT_LE(journal.max_claim_count(), 1u + RetryPolicy{}.max_retries);
   EXPECT_EQ(journal.done_count(), kPoints * kReps);
-
-  fs::remove_all(base);
 }
 
 }  // namespace

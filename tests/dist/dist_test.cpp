@@ -32,31 +32,14 @@
 #include "dist/queue.hpp"
 #include "dist/reclaim.hpp"
 #include "dist/worker.hpp"
+#include "scratch_dir.hpp"
 
 namespace alert::dist {
 namespace {
 
 namespace fs = std::filesystem;
 
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag)
-      : path_((fs::path(::testing::TempDir()) /
-               (tag + std::to_string(counter_++)))
-                  .string()) {
-    fs::remove_all(path_);
-    fs::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path_, ec);
-  }
-  [[nodiscard]] const std::string& path() const { return path_; }
-
- private:
-  static inline int counter_ = 0;
-  std::string path_;
-};
+using test_support::ScratchDir;
 
 /// A small sweep whose unit keys are real (distinct configs per point) but
 /// whose execution the tests replace with synthetic results.
@@ -134,7 +117,7 @@ AggregateOutcome aggregate_quiet(const campaign::CampaignSpec& spec,
 // --- lease protocol ---------------------------------------------------------
 
 TEST(Lease, FirstClaimerWinsUntilReleased) {
-  TempDir dir("alertsim-lease-test-");
+  ScratchDir dir("alertsim-lease-test-");
   LeaseDir leases(dir.path() + "/leases");
 
   ASSERT_TRUE(leases.try_acquire("unit-a", "w1"));
@@ -154,7 +137,7 @@ TEST(Lease, FirstClaimerWinsUntilReleased) {
 }
 
 TEST(Lease, RenewRefreshesOwnerOnlyAndBumpsSequence) {
-  TempDir dir("alertsim-lease-test-");
+  ScratchDir dir("alertsim-lease-test-");
   LeaseDir leases(dir.path() + "/leases");
   ASSERT_TRUE(leases.try_acquire("unit-a", "w1"));
 
@@ -168,7 +151,7 @@ TEST(Lease, RenewRefreshesOwnerOnlyAndBumpsSequence) {
 }
 
 TEST(Lease, AgeTracksAcquisitionAndBreakReturnsHolderOnce) {
-  TempDir dir("alertsim-lease-test-");
+  ScratchDir dir("alertsim-lease-test-");
   LeaseDir leases(dir.path() + "/leases");
   EXPECT_FALSE(leases.age_seconds("unit-a").has_value());
   ASSERT_TRUE(leases.try_acquire("unit-a", "w1"));
@@ -186,7 +169,7 @@ TEST(Lease, AgeTracksAcquisitionAndBreakReturnsHolderOnce) {
 }
 
 TEST(Lease, ConcurrentBreakersProduceExactlyOneWinner) {
-  TempDir dir("alertsim-lease-test-");
+  ScratchDir dir("alertsim-lease-test-");
   LeaseDir leases(dir.path() + "/leases");
   ASSERT_TRUE(leases.try_acquire("unit-a", "stale-worker"));
 
@@ -204,7 +187,7 @@ TEST(Lease, ConcurrentBreakersProduceExactlyOneWinner) {
 }
 
 TEST(Lease, ConcurrentClaimersProduceExactlyOneWinner) {
-  TempDir dir("alertsim-lease-test-");
+  ScratchDir dir("alertsim-lease-test-");
   LeaseDir leases(dir.path() + "/leases");
 
   constexpr int kClaimers = 8;
@@ -238,7 +221,7 @@ TEST(RetryPolicy, BackoffDoublesFromBaseAndCaps) {
 // --- work queue state machine ------------------------------------------------
 
 TEST(WorkQueue, StateMachineWalksReadyLeasedDonePoisoned) {
-  TempDir dir("alertsim-queue-test-");
+  ScratchDir dir("alertsim-queue-test-");
   campaign::ResultCache cache(dir.path());
   RetryPolicy policy;
   policy.max_retries = 1;
@@ -281,7 +264,7 @@ TEST(WorkQueue, StateMachineWalksReadyLeasedDonePoisoned) {
 }
 
 TEST(WorkQueue, BackoffExpiresBackToReady) {
-  TempDir dir("alertsim-queue-test-");
+  ScratchDir dir("alertsim-queue-test-");
   campaign::ResultCache cache(dir.path());
   RetryPolicy policy;
   policy.max_retries = 3;
@@ -298,7 +281,7 @@ TEST(WorkQueue, BackoffExpiresBackToReady) {
 }
 
 TEST(WorkQueue, ReclaimChargesCrashButNotCompletedUnits) {
-  TempDir dir("alertsim-queue-test-");
+  ScratchDir dir("alertsim-queue-test-");
   campaign::ResultCache cache(dir.path());
   WorkQueue queue(cache, "qtest");
 
@@ -330,7 +313,7 @@ TEST(WorkQueue, ReclaimChargesCrashButNotCompletedUnits) {
 }
 
 TEST(ReclaimPass, JournalsEachBreakExactlyOnce) {
-  TempDir dir("alertsim-reclaim-test-");
+  ScratchDir dir("alertsim-reclaim-test-");
   campaign::ResultCache cache(dir.path());
   WorkQueue queue(cache, "rtest");
   campaign::Journal journal(dir.path() + "/journal", "rtest");
@@ -355,7 +338,7 @@ TEST(ReclaimPass, JournalsEachBreakExactlyOnce) {
 // --- progress files ----------------------------------------------------------
 
 TEST(Progress, RoundTripsAtomicallyAndAggregates) {
-  TempDir dir("alertsim-progress-test-");
+  ScratchDir dir("alertsim-progress-test-");
   WorkerProgress a;
   a.worker = "w-a";
   a.campaign = "ptest";
@@ -393,7 +376,7 @@ TEST(Progress, RoundTripsAtomicallyAndAggregates) {
 // --- worker loop + aggregator --------------------------------------------------
 
 TEST(Worker, ThreeConcurrentWorkersMatchOneWorkerByteForByte) {
-  TempDir dir("alertsim-worker-test-");
+  ScratchDir dir("alertsim-worker-test-");
   const campaign::CampaignSpec spec = grid_spec("wtest", 3);
   constexpr std::size_t kReps = 4;
 
@@ -441,7 +424,7 @@ TEST(Worker, ThreeConcurrentWorkersMatchOneWorkerByteForByte) {
 }
 
 TEST(Worker, PoisonUnitQuarantinesWithoutStallingTheSweep) {
-  TempDir dir("alertsim-worker-test-");
+  ScratchDir dir("alertsim-worker-test-");
   const campaign::CampaignSpec spec = grid_spec("ptest", 2);
   const std::string cache_dir = dir.path() + "/cache";
 
@@ -473,7 +456,7 @@ TEST(Worker, PoisonUnitQuarantinesWithoutStallingTheSweep) {
 }
 
 TEST(Worker, FlakyUnitRetriesThenConverges) {
-  TempDir dir("alertsim-worker-test-");
+  ScratchDir dir("alertsim-worker-test-");
   const campaign::CampaignSpec spec = grid_spec("ftest", 2);
   const std::string cache_dir = dir.path() + "/cache";
 
@@ -502,7 +485,7 @@ TEST(Worker, FlakyUnitRetriesThenConverges) {
 }
 
 TEST(Aggregate, HealsCorruptEntryAndReportsIncomplete) {
-  TempDir dir("alertsim-aggregate-test-");
+  ScratchDir dir("alertsim-aggregate-test-");
   const campaign::CampaignSpec spec = grid_spec("atest", 2);
   const std::string cache_dir = dir.path() + "/cache";
 
@@ -535,7 +518,7 @@ TEST(Aggregate, HealsCorruptEntryAndReportsIncomplete) {
 }
 
 TEST(Aggregate, PendingUnitsReportIncompleteWithoutManifest) {
-  TempDir dir("alertsim-aggregate-test-");
+  ScratchDir dir("alertsim-aggregate-test-");
   const campaign::CampaignSpec spec = grid_spec("pending", 2);
   const AggregateOutcome agg = aggregate_quiet(spec, dir.path() + "/c", 2);
   EXPECT_EQ(agg.exit_code, 3);

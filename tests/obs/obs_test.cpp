@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -18,15 +17,14 @@
 #include "obs/profile.hpp"
 #include "obs/series.hpp"
 #include "obs/trace.hpp"
+#include "scratch_dir.hpp"
 
 namespace alert::obs {
 namespace {
 
 struct TempPath {
-  explicit TempPath(const char* name) {
-    path = ::testing::TempDir() + "/" + name;
-  }
-  ~TempPath() { std::remove(path.c_str()); }
+  explicit TempPath(const char* name) : path(dir.file(name)) {}
+  test_support::ScratchDir dir{"alertsim-obs-test-"};
   std::string path;
 };
 
