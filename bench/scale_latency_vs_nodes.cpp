@@ -1,9 +1,8 @@
 // scale_latency_vs_nodes: the fig14a-style curve continued past the paper's
 // 400-node x-axis into alert::scale territory. Runs one ALERT replication
 // per population (default 10k and 100k nodes; 1M is opt-in — it needs a few
-// GB of RSS and minutes of wall time) with every scale backend on (spatial
-// grid, calendar event queue, pooled delivery frames) at the paper's
-// density (the arena grows as sqrt(n/200) km so neighbourhoods stay at
+// GB of RSS and minutes of wall time) with the spatial grid on at the
+// paper's density (the arena grows as sqrt(n/200) km so neighbourhoods stay at
 // Sec. 5.2 scale), and writes one RunManifest with the latency and
 // events/s series, per-replication digests, and the per-subsystem
 // wall-clock self-profile (net.query isolates the neighbour index).
@@ -14,8 +13,8 @@
 //                          [--out scale_latency_manifest.json] [--peak-rss]
 //                          [--log-level L]
 //
-// --no-scale-backends reruns the identical workload on the linear-scan /
-// binary-heap / malloc defaults (digests must match; see
+// --no-scale-backends reruns the identical workload on the linear-scan
+// default (digests must match; see
 // tests/integration/scale_equivalence_test.cpp for the enforced version).
 
 #include <cstdio>
@@ -76,7 +75,7 @@ int main(int argc, char** argv) {
       args->get("nodes", std::string("10000,100000"));
   const bool million = args->get("million", false);
   const double duration_s = args->get("duration", 5.0);
-  const bool scale_backends = !args->get("no-scale-backends", false);
+  const bool grid = !args->get("no-scale-backends", false);
   const std::string out_path =
       args->get("out", std::string("scale_latency_manifest.json"));
   const bool record_rss = args->get("peak-rss", false);
@@ -97,20 +96,13 @@ int main(int argc, char** argv) {
   }
   if (million) node_counts.push_back(1'000'000);
 
-  scale::Backends backends;
-  if (scale_backends) {
-    backends.grid = true;
-    backends.calendar = true;
-    backends.pool_packets = true;
-  }
-
   obs::RunManifest manifest;
   manifest.name = "scale_latency_vs_nodes";
   manifest.title = "ALERT latency vs. nodes (alert::scale arena)";
   manifest.x_label = "nodes";
   manifest.y_label = "latency (s)";
   manifest.add_param("duration_s", std::to_string(duration_s));
-  manifest.add_param("scale_backends", scale_backends ? "true" : "false");
+  manifest.add_param("scale_backends", grid ? "true" : "false");
 
   util::Series latency;
   latency.name = "ALERT";
@@ -119,7 +111,7 @@ int main(int argc, char** argv) {
 
   for (const std::size_t n : node_counts) {
     core::ScenarioConfig config =
-        perf::scale_scenario(n, duration_s, backends);
+        perf::scale_scenario(n, duration_s, grid);
     config.obs.profile = true;  // per-subsystem scopes, incl. net.query
     if (manifest.seed == 0) manifest.seed = config.seed;
     ALERT_LOG_INFO("scale bench: %zu nodes, %.1f s sim time...", n,

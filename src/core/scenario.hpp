@@ -58,12 +58,11 @@ struct ScenarioConfig {
   // streams, same digests, same canonical dump as before faults existed.
   faults::FaultPlan faults;
 
-  // Scale backends (src/scale): spatial grid, calendar event queue, pooled
-  // delivery frames. All-off by default and equally invisible (no `scale.*`
-  // canonical keys, no allocations); with flags on, digests stay
-  // bit-identical — the backends change complexity, not behaviour
+  // Spatial-grid neighbour index (src/scale). Off by default and equally
+  // invisible (no `scale.grid` canonical key, no allocation); on, digests
+  // stay bit-identical — the grid changes complexity, not behaviour
   // (docs/SCALE.md).
-  scale::Backends scale;
+  bool scale_grid = false;
 
   // Traffic: UDP/CBR, 512-byte packets, 10 random S-D pairs, one packet
   // every 2 s (Sec. 5.2).

@@ -281,13 +281,7 @@ const std::map<std::string, Setter, std::less<>>& setters() {
       return parse_size_strict(v, &c.mac.arq.ack_bytes);
     };
     m["scale.grid"] = [](ScenarioConfig& c, std::string_view v) {
-      return parse_bool_strict(v, &c.scale.grid);
-    };
-    m["scale.calendar"] = [](ScenarioConfig& c, std::string_view v) {
-      return parse_bool_strict(v, &c.scale.calendar);
-    };
-    m["scale.pool_packets"] = [](ScenarioConfig& c, std::string_view v) {
-      return parse_bool_strict(v, &c.scale.pool_packets);
+      return parse_bool_strict(v, &c.scale_grid);
     };
     return m;
   }();
@@ -450,14 +444,10 @@ std::string canonical_scenario(const ScenarioConfig& c) {
     put("mac.arq.ack_bytes", std::to_string(c.mac.arq.ack_bytes));
   }
 
-  // Scale backends: same conditional pattern — all-off is provably inert
-  // (nothing allocated, no RNG draw or event changed), and an active
-  // combination emits every flag so distinct combinations never collide.
-  if (c.scale.any()) {
-    put("scale.grid", fmt_bool(c.scale.grid));
-    put("scale.calendar", fmt_bool(c.scale.calendar));
-    put("scale.pool_packets", fmt_bool(c.scale.pool_packets));
-  }
+  // Spatial grid: same conditional pattern — off is provably inert
+  // (nothing allocated, no RNG draw or event changed), so only `true` is
+  // emitted.
+  if (c.scale_grid) put("scale.grid", fmt_bool(true));
 
   put("residency_sample_period_s", fmt_double(c.residency_sample_period_s));
   put("run_attacks", fmt_bool(c.run_attacks));

@@ -64,7 +64,7 @@ struct AnalyzerConfig {
       {"obs", {"util"}},
       {"crypto", {"util"}},
       {"scale", {"util"}},
-      {"sim", {"util", "obs", "scale"}},
+      {"sim", {"util", "obs"}},
       {"faults", {"util", "sim", "obs"}},
       {"net", {"util", "sim", "crypto", "faults", "obs", "scale"}},
       {"loc", {"util", "net", "crypto"}},

@@ -94,13 +94,10 @@ Network::Network(sim::Simulator& simulator, NetworkConfig config,
   handlers_.assign(nodes_.size(), nullptr);
 
   delivery_ids_.resize(nodes_.size());
-  if (config_.scale.grid) {
+  if (config_.scale_grid) {
     grid_ = std::make_unique<scale::SpatialGrid>(
         config_.field, config_.radio_range_m,
         static_cast<std::uint32_t>(nodes_.size()));
-  }
-  if (config_.scale.pool_packets) {
-    packet_pool_ = std::make_unique<scale::SlabPool<PooledFrame>>();
   }
 
   mobility_->initialize(nodes_, rng_);
@@ -284,23 +281,6 @@ void Network::transmit_unicast(Node& from, Pseudonym to, Packet pkt,
   const sim::Time arrive =
       grant.start + grant.tx_time +
       mac_.propagation_delay(config_.radio_range_m);
-  if (packet_pool_ != nullptr) {
-    const auto h = packet_pool_->acquire();
-    PooledFrame& frame = packet_pool_->at(h);
-    frame.pkt = std::move(pkt);
-    frame.sender = sender;
-    frame.receiver = receiver;
-    frame.to = to;
-    frame.attempt = attempt;
-    sim_.schedule_at(arrive, [this, h] {
-      // Slots live in fixed chunks, so the reference survives any pool
-      // growth a nested (re)transmission causes during delivery.
-      const PooledFrame& f = packet_pool_->at(h);
-      deliver_unicast(f.sender, f.receiver, f.to, f.pkt, f.attempt);
-      packet_pool_->release(h);
-    });
-    return;
-  }
   sim_.schedule_at(arrive,
                    [this, sender, receiver, to, attempt,
                     pkt = std::move(pkt)] {
@@ -330,19 +310,6 @@ void Network::broadcast(Node& from, Packet pkt, double processing_delay) {
       mac_.propagation_delay(config_.radio_range_m);
   // Capture the sender position at transmission time: receivers are the
   // nodes inside the range disc around where the frame was emitted.
-  if (packet_pool_ != nullptr) {
-    const auto h = packet_pool_->acquire();
-    PooledFrame& frame = packet_pool_->at(h);
-    frame.pkt = std::move(pkt);
-    frame.origin = pos;
-    frame.sender = sender;
-    sim_.schedule_at(arrive, [this, h] {
-      const PooledFrame& f = packet_pool_->at(h);
-      deliver_broadcast(f.sender, f.pkt, f.origin);
-      packet_pool_->release(h);
-    });
-    return;
-  }
   sim_.schedule_at(arrive, [this, sender, pos, pkt = std::move(pkt)] {
     deliver_broadcast(sender, pkt, pos);
   });

@@ -21,8 +21,6 @@
 #include "net/node.hpp"
 #include "net/packet.hpp"
 #include "net/packet_ledger.hpp"
-#include "scale/options.hpp"
-#include "scale/pool.hpp"
 #include "scale/spatial_grid.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -108,11 +106,11 @@ struct NetworkConfig {
   /// Channel/node adversity (src/faults). Inert by default: an all-off
   /// plan allocates nothing, draws nothing, audits nothing.
   faults::FaultPlan faults;
-  /// Scale backends (src/scale). Inert by default: with every flag off the
-  /// grid/pool are never allocated and behaviour is byte-identical to the
-  /// pre-scale implementation; with flags on, results stay digest-identical
-  /// (docs/SCALE.md) — only the asymptotics change.
-  scale::Backends scale;
+  /// Answer range queries from a scale::SpatialGrid instead of the linear
+  /// scan (`scale.grid`). Off by default, and the grid is then never
+  /// allocated; on, results stay digest-identical (docs/SCALE.md) — only
+  /// the asymptotics change.
+  bool scale_grid = false;
 };
 
 class Network {
@@ -206,20 +204,6 @@ class Network {
   /// Count of hello beacons sent so far (overhead accounting).
   [[nodiscard]] std::uint64_t hello_count() const { return hello_count_; }
 
-  /// Delivery-frame pool occupancy (all zero unless `scale.pool_packets`).
-  /// in_use counts frames still in flight — bounded by pending deliveries,
-  /// and the PacketLedger still accounts every uid to a terminal fate.
-  struct PoolStats {
-    std::size_t in_use = 0;
-    std::size_t high_water = 0;
-    std::size_t capacity = 0;
-  };
-  [[nodiscard]] PoolStats packet_pool_stats() const {
-    if (packet_pool_ == nullptr) return {};
-    return {packet_pool_->in_use(), packet_pool_->high_water(),
-            packet_pool_->capacity()};
-  }
-
   /// Per-node energy meters (radio charges applied automatically on every
   /// transmission/reception; protocols charge their crypto time through
   /// charge_crypto so the Sec. 5 energy comparison is measurable).
@@ -229,20 +213,6 @@ class Network {
   }
 
  private:
-  /// A frame parked in the slab pool while its delivery event is pending.
-  /// Moving the Packet (and the per-kind delivery context) out of the
-  /// scheduled closure leaves a capture of {this, handle} — small enough
-  /// for std::function's inline storage, so the pooled hot path performs
-  /// no per-transmission allocation at all.
-  struct PooledFrame {
-    Packet pkt;
-    util::Vec2 origin;
-    NodeId sender = kInvalidNode;
-    NodeId receiver = kInvalidNode;
-    Pseudonym to = 0;
-    int attempt = 0;
-  };
-
   void schedule_mobility(Node& node);
   /// Reindex `node`'s grid coverage for its current motion segment,
   /// clipped to the simulation horizon (queries never look further).
@@ -302,11 +272,9 @@ class Network {
   std::uint64_t arq_retries_ = 0;
   std::uint64_t broadcast_losses_ = 0;
 
-  // --- scale backends (all null/empty unless config_.scale opts in) -------
-  /// Spatial index over current motion segments (scale.grid).
+  /// Spatial index over current motion segments; null unless
+  /// config_.scale_grid.
   std::unique_ptr<scale::SpatialGrid> grid_;
-  /// In-flight delivery frames (scale.pool_packets).
-  std::unique_ptr<scale::SlabPool<PooledFrame>> packet_pool_;
   /// Receiver scratch for deliver_broadcast, pre-sized to node_count so the
   /// gather writes by index (see gather_receivers).
   std::vector<NodeId> delivery_ids_;

@@ -30,11 +30,8 @@ inline constexpr std::uint64_t kKernelSeed = 0xBE7CE5EEDULL;
 /// Event-dispatch batch: schedules `events` self-contained callbacks at
 /// strictly increasing times on a fresh Simulator and drains it. Returns
 /// the number executed (== events; the return value keeps the work
-/// observable). ns/op = wall time / events. `backend` selects the event
-/// queue implementation (the scale suite pins the calendar path).
-std::uint64_t run_dispatch_batch(
-    std::size_t events,
-    sim::QueueBackend backend = sim::QueueBackend::BinaryHeap);
+/// observable). ns/op = wall time / events.
+std::uint64_t run_dispatch_batch(std::size_t events);
 
 /// A fixed-seed static topology for neighbour/range-query benchmarking:
 /// `node_count` nodes placed uniformly in a square field (the paper's
@@ -73,11 +70,10 @@ class QueryTopology {
 /// The fig14a-style macro scenario scaled to `node_count` nodes at the
 /// paper's density (200 nodes / km^2): the field side grows as
 /// sqrt(node_count / 200) * 1000 m so per-node neighbourhood size stays at
-/// paper scale while the arena grows. `backends` selects the alert::scale
-/// backends — the workload (and its digest) is identical either way.
+/// paper scale while the arena grows. `grid` turns on the spatial-grid
+/// neighbour index — the workload (and its digest) is identical either way.
 [[nodiscard]] core::ScenarioConfig scale_scenario(std::size_t node_count,
-                                                  double duration_s,
-                                                  scale::Backends backends);
+                                                  double duration_s, bool grid);
 
 /// What one timed macro replication produced (the throughput numerators).
 struct MacroRunStats {

@@ -30,13 +30,6 @@ class Simulator {
 
   [[nodiscard]] Time now() const { return now_; }
 
-  /// Select the pending-set backend (scale.calendar scenarios pick
-  /// QueueBackend::Calendar). Must be called before the first schedule;
-  /// both backends pop the identical (time, seq) order, so the choice
-  /// cannot change the trace digest.
-  void set_queue_backend(QueueBackend backend) { queue_.set_backend(backend); }
-  [[nodiscard]] QueueBackend queue_backend() const { return queue_.backend(); }
-
   /// Schedule `action` to run `delay` seconds from now (delay >= 0).
   EventId schedule_in(Time delay, EventQueue::Action action);
 

@@ -1,15 +1,15 @@
-/// Backend-equivalence suite for alert::scale (docs/SCALE.md): the spatial
-/// grid, the calendar event queue and the packet pool are pure complexity
-/// swaps, so every {linear, grid} x {heap, calendar} combination of a
+/// Grid-equivalence suite for alert::scale (docs/SCALE.md): the spatial
+/// grid is a pure complexity swap, so the linear-scan and grid runs of a
 /// scenario must produce bit-identical determinism digests and
 /// byte-identical run-manifest serializations — across mobility models,
-/// fault injection and ARQ. A 10k-node run additionally proves the
-/// backends hold up at arena scale with a clean packet ledger.
+/// fault injection and ARQ. A 10k-node run additionally proves the grid
+/// holds up at arena scale with a clean packet ledger.
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -19,26 +19,8 @@
 namespace alert {
 namespace {
 
-struct Combo {
-  const char* name;
-  bool grid;
-  bool calendar;
-  bool pool;
-};
-
-/// The four backend combinations; the pool rides along on two of them so
-/// both pool states are covered against both queue backends.
-constexpr Combo kCombos[] = {
-    {"linear/heap", false, false, false},
-    {"grid/heap", true, false, true},
-    {"linear/calendar", false, true, false},
-    {"grid/calendar", true, true, true},
-};
-
-core::RunResult run_combo(core::ScenarioConfig config, const Combo& combo) {
-  config.scale.grid = combo.grid;
-  config.scale.calendar = combo.calendar;
-  config.scale.pool_packets = combo.pool;
+core::RunResult run_with_grid(core::ScenarioConfig config, bool grid) {
+  config.scale_grid = grid;
   return core::run_once(config, 0);
 }
 
@@ -59,21 +41,15 @@ std::string manifest_bytes(const core::RunResult& run) {
   return out.str();
 }
 
-void expect_all_combos_identical(const core::ScenarioConfig& config,
-                                 const char* label) {
-  const core::RunResult reference = run_combo(config, kCombos[0]);
-  ASSERT_GT(reference.events_executed, 0u) << label;
-  ASSERT_GT(reference.sent, 0u) << label;
-  const std::string reference_bytes = manifest_bytes(reference);
-  for (std::size_t i = 1; i < std::size(kCombos); ++i) {
-    const core::RunResult run = run_combo(config, kCombos[i]);
-    EXPECT_EQ(run.trace_digest, reference.trace_digest)
-        << label << ": " << kCombos[i].name;
-    EXPECT_EQ(run.events_executed, reference.events_executed)
-        << label << ": " << kCombos[i].name;
-    EXPECT_EQ(manifest_bytes(run), reference_bytes)
-        << label << ": " << kCombos[i].name;
-  }
+void expect_grid_identical(const core::ScenarioConfig& config,
+                           const char* label) {
+  const core::RunResult linear = run_with_grid(config, false);
+  ASSERT_GT(linear.events_executed, 0u) << label;
+  ASSERT_GT(linear.sent, 0u) << label;
+  const core::RunResult grid = run_with_grid(config, true);
+  EXPECT_EQ(grid.trace_digest, linear.trace_digest) << label;
+  EXPECT_EQ(grid.events_executed, linear.events_executed) << label;
+  EXPECT_EQ(manifest_bytes(grid), manifest_bytes(linear)) << label;
 }
 
 TEST(ScaleEquivalence, Fig14aStyleRandomWaypoint) {
@@ -82,7 +58,7 @@ TEST(ScaleEquivalence, Fig14aStyleRandomWaypoint) {
   config.duration_s = 30.0;
   config.flow_count = 5;
   config.seed = 4242;
-  expect_all_combos_identical(config, "fig14a-style");
+  expect_grid_identical(config, "fig14a-style");
 }
 
 TEST(ScaleEquivalence, Fig17StyleGroupMobility) {
@@ -93,7 +69,7 @@ TEST(ScaleEquivalence, Fig17StyleGroupMobility) {
   config.mobility = core::MobilityKind::Group;
   config.speed_mps = 8.0;
   config.seed = 1717;
-  expect_all_combos_identical(config, "fig17-style");
+  expect_grid_identical(config, "fig17-style");
 }
 
 TEST(ScaleEquivalence, AblationStyleFaultsAndArq) {
@@ -105,16 +81,16 @@ TEST(ScaleEquivalence, AblationStyleFaultsAndArq) {
   config.faults.churn.mttf_s = 40.0;
   config.mac.arq.enabled = true;
   config.seed = 99;
-  expect_all_combos_identical(config, "ablation-style");
+  expect_grid_identical(config, "ablation-style");
 }
 
 TEST(ScaleEquivalence, TenThousandNodesLeakFree) {
-  // Arena scale: 10k nodes at paper density. Both all-on runs must agree
-  // with each other, open real traffic, and leave the packet ledger clean
-  // (run_once audits every uid's terminal fate at teardown; a leak fails
-  // the run itself). The linear configuration is omitted on purpose — its
-  // O(n) scans would dominate tier-1 wall time without adding coverage
-  // beyond the 150-node combos above.
+  // Arena scale: 10k nodes at paper density. The grid run must open real
+  // traffic and leave the packet ledger clean (run_once audits every uid's
+  // terminal fate at teardown; a leak fails the run itself). The linear
+  // configuration is omitted on purpose — its O(n) scans would dominate
+  // tier-1 wall time without adding coverage beyond the 150-node pairs
+  // above.
   core::ScenarioConfig config;
   config.node_count = 10'000;
   const double side = 7071.0;  // sqrt(10000 / 200) km: paper density
@@ -122,27 +98,52 @@ TEST(ScaleEquivalence, TenThousandNodesLeakFree) {
   config.duration_s = 5.0;
   config.flow_count = 10;
   config.seed = 10'000;
-  Combo grid_only{"grid/heap", true, false, true};
-  Combo all_on{"grid/calendar", true, true, true};
-  const core::RunResult a = run_combo(config, grid_only);
-  const core::RunResult b = run_combo(config, all_on);
-  EXPECT_EQ(a.trace_digest, b.trace_digest);
-  EXPECT_EQ(a.events_executed, b.events_executed);
-  EXPECT_GT(a.packets_opened, 0u);
-  EXPECT_EQ(manifest_bytes(a), manifest_bytes(b));
+  const core::RunResult run = run_with_grid(config, true);
+  EXPECT_GT(run.events_executed, 0u);
+  EXPECT_GT(run.packets_opened, 0u);
+}
+
+/// The `key=value` lines of `text` whose key starts with `prefix`.
+std::vector<std::string> lines_with_prefix(const std::string& text,
+                                           std::string_view prefix) {
+  std::istringstream in(text);
+  std::vector<std::string> out;
+  for (std::string line; std::getline(in, line);) {
+    if (line.starts_with(prefix)) out.push_back(line);
+  }
+  return out;
 }
 
 TEST(ScaleEquivalence, DefaultsEmitNoScaleKeys) {
-  // Inert defaults: an all-off Backends leaves the canonical form (and so
-  // every campaign cache key) byte-identical to pre-scale builds; any
-  // active flag surfaces all three keys.
+  // Off is inert: the canonical form (and so every campaign cache key)
+  // carries no `scale.` key at all.
   core::ScenarioConfig config;
-  EXPECT_EQ(core::canonical_scenario(config).find("scale."), std::string::npos);
-  config.scale.calendar = true;
-  const std::string canonical = core::canonical_scenario(config);
-  EXPECT_NE(canonical.find("scale.grid=false"), std::string::npos);
-  EXPECT_NE(canonical.find("scale.calendar=true"), std::string::npos);
-  EXPECT_NE(canonical.find("scale.pool_packets=false"), std::string::npos);
+  EXPECT_TRUE(lines_with_prefix(core::canonical_scenario(config), "scale.")
+                  .empty());
+  // On emits exactly one line.
+  config.scale_grid = true;
+  EXPECT_EQ(lines_with_prefix(core::canonical_scenario(config), "scale."),
+            std::vector<std::string>{"scale.grid=true"});
+  // The retired calendar-queue key is an unknown parameter: a param text
+  // that still carries it is rejected on that line alone.
+  const std::string retired = std::string("scale.") + "calendar=true";
+  std::istringstream text("node_count=50\nscale.grid=true\n" + retired +
+                          "\n");
+  core::ScenarioConfig rebuilt;
+  std::vector<std::string> rejected;
+  for (std::string line; std::getline(text, line);) {
+    const std::size_t eq = line.find('=');
+    std::string error;
+    if (!core::apply_scenario_param(rebuilt, line.substr(0, eq),
+                                    line.substr(eq + 1), &error)) {
+      rejected.push_back(line);
+      EXPECT_NE(error.find("unknown scenario parameter"), std::string::npos)
+          << error;
+    }
+  }
+  EXPECT_EQ(rejected, std::vector<std::string>{retired});
+  EXPECT_TRUE(rebuilt.scale_grid);
+  EXPECT_EQ(rebuilt.node_count, 50u);
 }
 
 }  // namespace

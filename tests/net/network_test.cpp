@@ -276,7 +276,7 @@ TEST(Network, GridNeighbourQueriesMatchLinearScan) {
   auto build = [](bool grid) {
     NetworkConfig cfg;
     cfg.node_count = 120;
-    cfg.scale.grid = grid;
+    cfg.scale_grid = grid;
     auto simulator = std::make_unique<sim::Simulator>();
     auto net = std::make_unique<Network>(
         *simulator, cfg,
@@ -297,30 +297,6 @@ TEST(Network, GridNeighbourQueriesMatchLinearScan) {
           << "t=" << t;
     }
   }
-}
-
-TEST(Network, PooledPacketsLeakFreeAfterTraffic) {
-  NetworkConfig cfg;
-  cfg.node_count = 30;
-  cfg.scale.pool_packets = true;
-  sim::Simulator simulator;
-  Network net(simulator, cfg, std::make_unique<StaticPlacement>(cfg.field),
-              util::Rng(31), /*horizon=*/30.0);
-  Recorder rec;
-  for (NodeId id = 0; id < net.size(); ++id) net.attach_handler(id, &rec);
-  simulator.run_until(5.0);  // hello broadcasts flow through the pool
-  Packet pkt;
-  pkt.kind = PacketKind::Data;
-  pkt.size_bytes = 512;
-  for (int i = 0; i < 20; ++i) {
-    net.unicast(net.node(0),
-                net.node(static_cast<NodeId>(1 + (i % 20))).pseudonym(), pkt);
-  }
-  simulator.run_until(30.0);
-  const Network::PoolStats stats = net.packet_pool_stats();
-  EXPECT_EQ(stats.in_use, 0u) << "pooled delivery frames leaked";
-  EXPECT_GT(stats.high_water, 0u) << "traffic never went through the pool";
-  EXPECT_GE(stats.capacity, stats.high_water);
 }
 
 }  // namespace

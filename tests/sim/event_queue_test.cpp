@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <limits>
-#include <memory>
 #include <vector>
 
 namespace alert::sim {
@@ -163,55 +160,6 @@ TEST(EventQueue, CompactionAlsoTriggersOnPop) {
     (void)q.pop();
     EXPECT_LE(q.tombstone_count() * 2, q.physical_size() + 1);
   }
-}
-
-TEST(EventQueue, BackendsPopIdenticalOrder) {
-  // The calendar backend must reproduce the heap's (time, seq) pop order
-  // bit-for-bit, including ties and cancellations.
-  auto build = [](QueueBackend backend) {
-    auto q = std::make_unique<EventQueue>();
-    q->set_backend(backend);
-    std::vector<EventId> ids;
-    std::uint64_t state = 0x9E3779B97F4A7C15ULL;
-    for (int i = 0; i < 5000; ++i) {
-      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-      // Coarse quantization forces plenty of exact time ties.
-      const double t = static_cast<double>((state >> 33) % 4096) * 0.25;
-      ids.push_back(q->schedule(t, [] {}));
-    }
-    for (std::size_t i = 0; i < ids.size(); i += 7) q->cancel(ids[i]);
-    return q;
-  };
-  auto heap = build(QueueBackend::BinaryHeap);
-  auto calendar = build(QueueBackend::Calendar);
-  ASSERT_EQ(heap->size(), calendar->size());
-  while (!heap->empty()) {
-    const auto a = heap->pop();
-    const auto b = calendar->pop();
-    ASSERT_EQ(a.time, b.time);
-    ASSERT_EQ(a.seq, b.seq);
-  }
-  EXPECT_TRUE(calendar->empty());
-}
-
-TEST(EventQueue, CalendarBackendSurvivesForeverSentinels) {
-  EventQueue q;
-  q.set_backend(QueueBackend::Calendar);
-  bool near_fired = false;
-  const EventId forever =
-      q.schedule(std::numeric_limits<double>::max() / 4.0, [] {});
-  q.schedule(1.0, [&] { near_fired = true; });
-  q.pop().action();
-  EXPECT_TRUE(near_fired);
-  EXPECT_TRUE(q.cancel(forever));
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueueDeathTest, BackendSwitchAfterUseIsRejected) {
-  EventQueue q;
-  q.schedule(1.0, [] {});
-  EXPECT_DEATH(q.set_backend(QueueBackend::Calendar),
-               "before the first schedule");
 }
 
 }  // namespace
