@@ -1,7 +1,7 @@
 /// \file alertsim_cli.cpp
 /// Scenario driver: run any protocol/parameter combination from the
 /// command line and print the full metric set (optionally as a CSV row,
-/// for scripting sweeps beyond the canned figure benches).
+/// for scripting sweeps beyond the canned figure campaigns).
 ///
 ///   alertsim_cli --protocol alert --nodes 200 --speed 2 --duration 100
 ///                --flows 10 --h 5 --reps 10 [--attacks] [--csv]
@@ -62,10 +62,11 @@ int main(int argc, char** argv) {
   cfg.trace_path = args.get("trace", std::string());  // JSONL event dump
 
   // Shared observability flags (see util/cli.hpp): structured trace sink,
-  // run-manifest output, log threshold.
+  // log threshold. --metrics-out writes this run's manifest.
   const util::CommonFlags obs_flags = util::CommonFlags::from(args);
+  const std::string metrics_out = args.get("metrics-out", std::string());
   cfg.obs.trace_out = obs_flags.trace_out;
-  cfg.obs.profile = args.get("profile", false) || !obs_flags.metrics_out.empty();
+  cfg.obs.profile = args.get("profile", false) || !metrics_out.empty();
   if (const auto level = util::parse_log_level(obs_flags.log_level)) {
     util::set_log_level(*level);
   } else {
@@ -83,7 +84,18 @@ int main(int argc, char** argv) {
     cfg.mobility = core::MobilityKind::Static;
   }
 
-  const auto reps = static_cast<std::size_t>(args.get("reps", std::int64_t{10}));
+  std::size_t reps = 10;
+  if (args.has("reps")) {
+    const std::string text = args.get("reps", std::string());
+    const auto parsed_reps = core::parse_replications(text);
+    if (!parsed_reps) {
+      std::fprintf(stderr,
+                   "error: bad --reps=%s (expected an integer in [1, %zu])\n",
+                   text.c_str(), core::kMaxReplications);
+      return 2;
+    }
+    reps = *parsed_reps;
+  }
   const bool csv = args.get("csv", false);
   if (obs_flags.threads < 0) {
     std::fprintf(stderr, "error: --threads must be >= 0\n");
@@ -97,7 +109,7 @@ int main(int argc, char** argv) {
   const core::ExperimentResult r = core::run_experiment(
       cfg, reps, static_cast<std::size_t>(obs_flags.threads));
 
-  if (!obs_flags.metrics_out.empty()) {
+  if (!metrics_out.empty()) {
     obs::RunManifest manifest;
     manifest.name = "alertsim_cli";
     manifest.title = std::string("alertsim_cli — ") +
@@ -112,7 +124,7 @@ int main(int argc, char** argv) {
     manifest.trace_digests = r.trace_digests;
     manifest.metrics = r.metrics;
     manifest.profile = r.profile;
-    if (!manifest.write_file(obs_flags.metrics_out)) return 1;
+    if (!manifest.write_file(metrics_out)) return 1;
   }
 
   if (csv) {

@@ -16,20 +16,6 @@ const char* packet_kind_token(net::PacketKind kind) {
   return "unknown";
 }
 
-namespace {
-const char* drop_token(net::DropReason why) {
-  switch (why) {
-    case net::DropReason::OutOfRange: return "out_of_range";
-    case net::DropReason::NoHandler: return "no_handler";
-    case net::DropReason::TtlExpired: return "ttl_expired";
-    case net::DropReason::ChannelLoss: return "channel_loss";
-    case net::DropReason::NodeDown: return "node_down";
-    case net::DropReason::RetryExhausted: return "retry_exhausted";
-  }
-  return "unknown";
-}
-}  // namespace
-
 JsonlTraceWriter::JsonlTraceWriter(const std::string& path)
     : file_(std::fopen(path.c_str(), "w")) {
   if (file_ == nullptr) {
@@ -77,7 +63,8 @@ void JsonlTraceWriter::on_drop(const net::Node& last_holder,
                                const net::Packet& pkt, sim::Time when,
                                net::DropReason why) {
   char extra[48];
-  std::snprintf(extra, sizeof extra, ",\"reason\":\"%s\"", drop_token(why));
+  std::snprintf(extra, sizeof extra, ",\"reason\":\"%s\"",
+                net::drop_reason_name(why));
   write("drop", last_holder, pkt, when, extra);
 }
 

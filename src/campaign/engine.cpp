@@ -51,8 +51,7 @@ bool write_manifest_atomic(const obs::RunManifest& manifest,
 UnitGrid expand_units(const CampaignSpec& spec, std::size_t reps_option,
                       bool trace_first) {
   UnitGrid grid;
-  grid.reps = reps_option > 0 ? reps_option
-                              : core::bench_replications(spec.fallback_reps);
+  grid.reps = reps_option > 0 ? reps_option : spec.fallback_reps;
   grid.point_reps.assign(spec.points.size(), 0);
   for (std::size_t p = 0; p < spec.points.size(); ++p) {
     grid.point_reps[p] = spec.points[p].reps_override > 0
@@ -99,7 +98,7 @@ obs::RunManifest assemble_manifest(const CampaignSpec& spec,
               pr.result.trace_digests.end());
   }
 
-  // --- assemble the manifest (mirrors bench::Figure) ----------------------
+  // --- assemble the manifest ---------------------------------------------
   obs::RunManifest manifest;
   manifest.name = spec.name;
   manifest.title = spec.title;

@@ -4,8 +4,8 @@
 /// The campaign engine: expands a CampaignSpec into (point, replication)
 /// work units, schedules them across util::ThreadPool, serves completed
 /// units from the content-addressed result cache, folds replications in
-/// deterministic point/replication order and assembles the same
-/// "alertsim-run-manifest/1" document the figure benches emit.
+/// deterministic point/replication order and assembles the figure's
+/// "alertsim-run-manifest/1" document.
 ///
 /// Determinism contract: given the same spec and replication count, the
 /// emitted manifest is byte-identical whether every unit executed live, was
@@ -38,8 +38,7 @@
 namespace alert::campaign {
 
 struct CampaignOptions {
-  /// Replications per point; 0 = ALERTSIM_REPS / spec.fallback_reps (the
-  /// same resolution the benches use).
+  /// Replications per point; 0 = spec.fallback_reps.
   std::size_t reps = 0;
   std::size_t threads = 0;  ///< 0 = hardware concurrency
   /// Cache root; empty = default_cache_root(). Ignored when !use_cache.
@@ -55,7 +54,7 @@ struct CampaignOptions {
   /// Stamp obs::peak_rss_bytes() onto the manifest after the run. Off by
   /// default: peak RSS is host state, so recording it would break the
   /// cold-vs-cached manifest byte-identity contract. Opt in per run
-  /// (--peak-rss on the benches/driver; the perf suite always records it).
+  /// (--peak-rss on alertsim-campaign; the perf suite always records it).
   bool record_peak_rss = false;
 };
 

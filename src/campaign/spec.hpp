@@ -7,8 +7,8 @@
 /// series and notes. Specs come from two places:
 ///
 ///   * the built-in figure registry (figures.hpp) — every paper figure is a
-///     builder function returning a CampaignSpec whose reducer reproduces
-///     the bench's exact series/table/notes;
+///     builder function returning a CampaignSpec whose reducer produces
+///     the figure's series/table/notes;
 ///   * JSON files (schema "alertsim-campaign-spec/1") — a base config, a
 ///     set of curves (param overrides) and an x-axis sweep, expanded
 ///     curve-major into points and reduced through a named y-metric
@@ -83,7 +83,7 @@ struct CampaignSpec {
   std::string title;    ///< table/manifest title
   std::string x_label;
   std::string y_label;
-  std::size_t fallback_reps = 10;  ///< when neither --reps nor ALERTSIM_REPS
+  std::size_t fallback_reps = 10;  ///< when no --reps is given
   std::string y_metric;            ///< default-reducer extractor name
   std::vector<PointSpec> points;
   Reducer reduce;  ///< nullptr = default reducer over y_metric

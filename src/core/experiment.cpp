@@ -1,7 +1,7 @@
 #include "core/experiment.hpp"
 
 #include <algorithm>
-#include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -509,21 +509,15 @@ ExperimentResult run_experiment(const ScenarioConfig& config,
   return result;
 }
 
-std::size_t bench_replications(std::size_t fallback) {
-  const char* env = std::getenv("ALERTSIM_REPS");
-  if (env == nullptr) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  const bool numeric = end != env && *end == '\0' && env[0] != '-';
-  if (!numeric || errno == ERANGE || v == 0 || v > kMaxReplications) {
-    std::fprintf(stderr,
-                 "ALERTSIM_REPS='%s' is invalid: expected an integer in "
-                 "[1, %zu]\n",
-                 env, kMaxReplications);
-    std::exit(2);
+std::optional<std::size_t> parse_replications(std::string_view text) {
+  const char* end = text.data() + text.size();
+  std::size_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value == 0 ||
+      value > kMaxReplications) {
+    return std::nullopt;
   }
-  return static_cast<std::size_t>(v);
+  return value;
 }
 
 }  // namespace alert::core

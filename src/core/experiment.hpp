@@ -10,6 +10,8 @@
 /// 30-run averages with "I"-shaped CI bars.
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "attack/intersection_attack.hpp"
@@ -109,7 +111,7 @@ struct ExperimentResult {
 /// a loss probability outside [0,1] or negative MTTF/MTTR, or ARQ enabled
 /// with a non-positive retry budget / negative timings, silently produces
 /// garbage curves. The message goes to stderr and the process exits with
-/// status 2 — the same hard-error contract as a malformed ALERTSIM_REPS.
+/// status 2 — the same hard-error contract as a malformed --reps.
 /// run_once calls this on every replication; harnesses building many
 /// scenarios can call it early to fail before spending any simulation time.
 void validate_scenario(const ScenarioConfig& config);
@@ -124,16 +126,15 @@ void validate_scenario(const ScenarioConfig& config);
                                               std::size_t replications,
                                               std::size_t threads = 0);
 
-/// Replication count for figure benches: honours the ALERTSIM_REPS
-/// environment variable, defaulting to `fallback` (the paper uses 30; the
-/// benches default lower to keep a full regeneration pass quick).
-/// A set-but-invalid ALERTSIM_REPS (non-numeric, trailing junk, zero,
-/// negative, or larger than kMaxReplications) is a hard error: the message
-/// goes to stderr and the process exits with status 2 — silently falling
-/// back would corrupt replication-count comparisons between runs.
-[[nodiscard]] std::size_t bench_replications(std::size_t fallback = 10);
-
-/// Upper bound on replications accepted from ALERTSIM_REPS / --reps.
+/// Upper bound on replications accepted from --reps or a spec's `reps`.
 inline constexpr std::size_t kMaxReplications = 100000;
+
+/// Strict parser for a replication count (the drivers' --reps value): a
+/// plain decimal integer in [1, kMaxReplications]. Anything else — empty,
+/// non-numeric, signed, trailing junk, zero or out of range — is nullopt,
+/// and the driver exits 2 naming the value: silently falling back would
+/// corrupt replication-count comparisons between runs.
+[[nodiscard]] std::optional<std::size_t> parse_replications(
+    std::string_view text);
 
 }  // namespace alert::core

@@ -20,30 +20,6 @@ const char* tx_kind(net::PacketKind k) {
 
 }  // namespace
 
-const char* packet_kind_name(net::PacketKind kind) {
-  switch (kind) {
-    case net::PacketKind::Hello: return "hello";
-    case net::PacketKind::Data: return "data";
-    case net::PacketKind::Confirm: return "confirm";
-    case net::PacketKind::Nak: return "nak";
-    case net::PacketKind::Cover: return "cover";
-    case net::PacketKind::IdDissemination: return "id_dissemination";
-  }
-  return "unknown";
-}
-
-const char* drop_reason_name(net::DropReason why) {
-  switch (why) {
-    case net::DropReason::OutOfRange: return "out_of_range";
-    case net::DropReason::NoHandler: return "no_handler";
-    case net::DropReason::TtlExpired: return "ttl_expired";
-    case net::DropReason::ChannelLoss: return "channel_loss";
-    case net::DropReason::NodeDown: return "node_down";
-    case net::DropReason::RetryExhausted: return "retry_exhausted";
-  }
-  return "unknown";
-}
-
 ObsBridge::ObsBridge(obs::MetricsRegistry& metrics, obs::Tracer tracer)
     : metrics_(metrics),
       tx_(metrics.counter("net.tx")),
@@ -80,13 +56,13 @@ void ObsBridge::on_drop(const net::Node& last_holder, const net::Packet& pkt,
   const auto i = static_cast<std::size_t>(why);
   if (drops_[i] == nullptr) {
     drops_[i] = &metrics_.counter(std::string("net.drop.") +
-                                  drop_reason_name(why));
+                                  net::drop_reason_name(why));
   }
   drops_[i]->inc();
   if (tracer_.enabled()) {
     tracer_.emit(obs::TraceEvent{
         when, static_cast<std::uint32_t>(last_holder.id()), pkt.uid,
-        obs::TraceLayer::Channel, drop_reason_name(why), 0.0,
+        obs::TraceLayer::Channel, net::drop_reason_name(why), 0.0,
         static_cast<std::uint64_t>(why)});
   }
 }

@@ -2,7 +2,7 @@
 
 /// \file scenario.hpp
 /// Experiment scenario description: one struct capturing every knob of the
-/// paper's evaluation setup (Sec. 5.2) so each figure bench is a small
+/// paper's evaluation setup (Sec. 5.2) so each figure campaign is a small
 /// parameter sweep over ScenarioConfig.
 
 #include <cstdint>

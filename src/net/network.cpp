@@ -54,6 +54,18 @@ PacketFate fate_for(DropReason why) {
   return PacketFate::Dropped;
 }
 
+const char* drop_reason_name(DropReason why) {
+  switch (why) {
+    case DropReason::OutOfRange: return "out_of_range";
+    case DropReason::NoHandler: return "no_handler";
+    case DropReason::TtlExpired: return "ttl_expired";
+    case DropReason::ChannelLoss: return "channel_loss";
+    case DropReason::NodeDown: return "node_down";
+    case DropReason::RetryExhausted: return "retry_exhausted";
+  }
+  return "unknown";
+}
+
 Network::Network(sim::Simulator& simulator, NetworkConfig config,
                  std::unique_ptr<MobilityModel> mobility, util::Rng rng,
                  sim::Time horizon)

@@ -73,6 +73,10 @@ inline constexpr std::size_t kDropReasonCount = 6;
 /// packet the link layer terminally gave up on.
 [[nodiscard]] PacketFate fate_for(DropReason why);
 
+/// Short lowercase name of a drop cause ("out_of_range", ...): the
+/// `net.drop.<reason>` metric suffix and the JSONL trace's "reason" field.
+[[nodiscard]] const char* drop_reason_name(DropReason why);
+
 /// Observer of every on-air event — the eyes of metrics collection and of
 /// the adversary models.
 class TraceListener {

@@ -5,7 +5,7 @@
 /// reproduce and interpret a run — the scenario parameters, seed,
 /// replication count, git version, per-replication determinism digests, the
 /// merged metrics snapshot, the wall-clock self-profile, and the result
-/// series. Every figure bench emits one of these (via the campaign engine,
+/// series. Every figure campaign emits one of these (via the campaign engine,
 /// src/campaign/engine.cpp)
 /// so downstream tooling consumes a uniform artifact; the schema is
 /// validated by tools/check_manifest.py in CI and documented in

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file series.hpp
-/// Figure-series presentation: the aligned text table the benches print
+/// Figure-series presentation: the aligned text table a campaign prints
 /// (the textual equivalent of a paper figure) and the machine-readable JSON
 /// form embedded in run manifests. Lives in obs because stdout output is an
 /// observability concern — the alert-lint raw-stdout rule confines direct
@@ -25,7 +25,7 @@ void print_series_table(const std::string& title, const std::string& x_label,
 /// [{"name": ..., "points": [{"x":, "y":, "ci":}, ...]}, ...]
 void write_series_json(JsonWriter& w, const std::vector<util::Series>& series);
 
-/// The figure banner the benches print before a run: "# title" plus an
+/// The figure banner a campaign prints before a run: "# title" plus an
 /// optional subtitle line ("# subtitle").
 void print_figure_banner(const std::string& title, const std::string& subtitle);
 

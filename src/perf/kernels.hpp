@@ -1,11 +1,8 @@
 #pragma once
 
 /// \file kernels.hpp
-/// Deterministic workload kernels behind the pinned perf suite (suite.cpp)
-/// and the google-benchmark microbenches (bench/micro_benchmarks.cpp).
-/// Both front-ends drive the exact same fixed-seed code, so a
-/// google-benchmark exploration and the committed BENCH_core.json numbers
-/// measure one workload.
+/// Deterministic workload kernels behind the pinned perf suite (suite.cpp),
+/// so the committed BENCH_core.json numbers measure one fixed-seed workload.
 ///
 /// Kernels are measurement-only: fixed seeds, no shared state, no packets
 /// opened outside run_once's audited lifecycle (teardown leaves every

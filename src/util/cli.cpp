@@ -65,9 +65,7 @@ bool CliArgs::get(const std::string& key, bool fallback) const {
 CommonFlags CommonFlags::from(const CliArgs& args) {
   CommonFlags flags;
   flags.trace_out = args.get("trace-out", std::string());
-  flags.metrics_out = args.get("metrics-out", std::string());
   flags.log_level = args.get("log-level", std::string("none"));
-  flags.reps = args.get("reps", static_cast<std::int64_t>(0));
   flags.threads = args.get("threads", static_cast<std::int64_t>(0));
   return flags;
 }

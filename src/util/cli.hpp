@@ -38,21 +38,17 @@ class CliArgs {
   mutable std::map<std::string, std::pair<std::string, bool>> values_;
 };
 
-/// Observability flags shared by every alertsim driver binary (figure
-/// benches, examples):
+/// Observability flags shared by the alertsim driver binaries
+/// (alertsim-campaign, alertsim_cli):
 ///   --trace-out=FILE    structured per-event trace; extension picks the
 ///                       sink (.jsonl / .csv / else Chrome trace_event JSON)
-///   --metrics-out=FILE  run-manifest JSON (config, seed, digests, metrics,
-///                       profile, series) — schema alertsim-run-manifest/1
 ///   --log-level=LEVEL   none|error|warn|info|debug (default none)
-///   --reps=N            replications per point (overrides ALERTSIM_REPS)
 ///   --threads=N         worker threads for replication fan-out
 ///                       (0 = hardware concurrency, the default)
+/// Each driver parses --reps itself (core::parse_replications).
 struct CommonFlags {
   std::string trace_out;
-  std::string metrics_out;
   std::string log_level = "none";
-  std::int64_t reps = 0;     ///< 0 = ALERTSIM_REPS / bench default
   std::int64_t threads = 0;  ///< 0 = hardware concurrency
 
   /// Extract (and mark consumed) the shared keys from parsed args.

@@ -4,7 +4,7 @@
 /// Statistics helpers for experiment aggregation: online accumulators,
 /// Student-t 95% confidence intervals (the paper draws "I"-shaped CI bars
 /// from 30 runs), histograms, and small series containers used by the
-/// figure-reproduction benches.
+/// figure-reproduction campaigns.
 
 #include <cstddef>
 #include <string>

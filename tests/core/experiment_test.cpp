@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <optional>
 
 namespace alert::core {
 namespace {
@@ -187,24 +187,19 @@ TEST(Experiment, NotifyAndGoCoverCostsMatchPinnedValues) {
   EXPECT_DOUBLE_EQ(r.energy_crypto_j, 2.254);
 }
 
-TEST(Experiment, BenchReplicationsHonoursEnv) {
-  ::unsetenv("ALERTSIM_REPS");
-  EXPECT_EQ(bench_replications(10), 10u);
-  ::setenv("ALERTSIM_REPS", "4", 1);
-  EXPECT_EQ(bench_replications(10), 4u);
-  ::unsetenv("ALERTSIM_REPS");
+TEST(Experiment, ParseReplicationsAcceptsTheBoundedRange) {
+  EXPECT_EQ(parse_replications("1"), 1u);
+  EXPECT_EQ(parse_replications("30"), 30u);
+  EXPECT_EQ(parse_replications("100000"), kMaxReplications);
 }
 
-TEST(ExperimentDeathTest, BenchReplicationsRejectsBadEnv) {
-  // A typo'd ALERTSIM_REPS must never silently fall back — a user asking
-  // for 30 replications and getting 10 wastes hours of sweeps.
-  for (const char* bad : {"junk", "0", "-3", "10x", "999999999999999999999"}) {
-    ::setenv("ALERTSIM_REPS", bad, 1);
-    EXPECT_EXIT((void)bench_replications(10), ::testing::ExitedWithCode(2),
-                "is invalid")
-        << "ALERTSIM_REPS=" << bad;
+TEST(Experiment, ParseReplicationsRejectsBadValues) {
+  // A typo'd --reps must never silently fall back — a user asking for 30
+  // replications and getting 10 wastes hours of sweeps.
+  for (const char* bad : {"junk", "0", "-3", "10x", "999999999999999999999",
+                          "100001", "", "+5", " 5"}) {
+    EXPECT_EQ(parse_replications(bad), std::nullopt) << "--reps=" << bad;
   }
-  ::unsetenv("ALERTSIM_REPS");
 }
 
 TEST(Scenario, ProtocolNames) {

@@ -1,6 +1,6 @@
 /// Cross-cutting integration tests asserting the paper's headline claims
 /// at reduced scale, so a regression in any module that would change a
-/// figure's *shape* fails CI before the benches are ever run.
+/// figure's *shape* fails CI before the figure campaigns are ever run.
 
 #include <gtest/gtest.h>
 

@@ -24,7 +24,7 @@ core::RunResult run_with_grid(core::ScenarioConfig config, bool grid) {
   return core::run_once(config, 0);
 }
 
-/// Serialize the run's observable outcome the way the figure benches do:
+/// Serialize the run's observable outcome the way the figure campaigns do:
 /// digest + metrics + a result series in one RunManifest JSON document.
 std::string manifest_bytes(const core::RunResult& run) {
   obs::RunManifest manifest;

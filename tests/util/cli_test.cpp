@@ -74,12 +74,22 @@ TEST(Cli, HasDetectsPresence) {
 }
 
 TEST(Cli, CommonFlagsPicksUpThreads) {
-  const auto args = parse({"--threads=4", "--reps=3"});
+  const auto args = parse({"--threads=4", "--log-level=info"});
   ASSERT_TRUE(args);
   const CommonFlags flags = CommonFlags::from(*args);
   EXPECT_EQ(flags.threads, 4);
-  EXPECT_EQ(flags.reps, 3);
+  EXPECT_EQ(flags.log_level, "info");
   EXPECT_TRUE(args->unused().empty());  // consumed, not a typo
+}
+
+TEST(Cli, CommonFlagsLeaveDriverFlagsUnused) {
+  // --metrics-out and --reps belong to the drivers that read them; a shared
+  // parser consuming them would hide them from a driver's unknown-flag check.
+  const auto args = parse({"--metrics-out=m.json", "--reps=3"});
+  ASSERT_TRUE(args);
+  (void)CommonFlags::from(*args);
+  EXPECT_EQ(args->unused(),
+            (std::vector<std::string>{"metrics-out", "reps"}));
 }
 
 TEST(Cli, CommonFlagsThreadsDefaultsToZero) {

@@ -1,9 +1,9 @@
 // alertsim-campaign: run scenario-sweep campaigns through the campaign
 // engine — one spec (--spec FILE), a directory of specs (--spec DIR), one
 // registry figure (--figure NAME) or the whole built-in registry of paper
-// figures (--all) in a single process. Every campaign writes the same
-// "alertsim-run-manifest/1" document the figure benches emit, into
-// --out-dir (default campaign-out/). Completed (scenario, replication)
+// figures (--all) in a single process. Every campaign writes one
+// "alertsim-run-manifest/1" document, <name>.json, into --out-dir (default
+// campaign-out/). Completed (scenario, replication)
 // units are served from the content-addressed result cache, so a second
 // invocation — or a resume after a crash — skips every computed point and
 // reproduces byte-identical manifests.
@@ -40,6 +40,7 @@
 #include "campaign/engine.hpp"
 #include "campaign/figures.hpp"
 #include "campaign/spec.hpp"
+#include "core/experiment.hpp"
 #include "dist/aggregate.hpp"
 #include "dist/progress.hpp"
 #include "dist/worker.hpp"
@@ -214,6 +215,8 @@ int main(int argc, char** argv) {
   const std::string figure = args->get("figure", std::string());
   const std::string spec_path = args->get("spec", std::string());
   const std::string out_dir = args->get("out-dir", std::string("campaign-out"));
+  const bool reps_given = args->has("reps");
+  const std::string reps_text = args->get("reps", std::string());
 
   campaign::CampaignOptions base_options;
   base_options.cache_dir = args->get("cache-dir", std::string());
@@ -239,9 +242,17 @@ int main(int argc, char** argv) {
   } else {
     return usage(("bad --log-level=" + flags.log_level).c_str());
   }
-  if (flags.reps < 0) return usage("--reps must be >= 0");
+  if (reps_given) {
+    const auto reps = core::parse_replications(reps_text);
+    if (!reps) {
+      const std::string msg = "bad --reps=" + reps_text +
+                              " (expected an integer in [1, " +
+                              std::to_string(core::kMaxReplications) + "])";
+      return usage(msg.c_str());
+    }
+    base_options.reps = *reps;
+  }
   if (flags.threads < 0) return usage("--threads must be >= 0");
-  base_options.reps = static_cast<std::size_t>(flags.reps);
   base_options.threads = static_cast<std::size_t>(flags.threads);
 
   const bool dist_mode = worker_mode || aggregate_mode || workers_flag != 0;

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """check_manifest — validate alertsim run-manifest JSON (and optionally a
-Chrome trace file or a benchmark baseline) emitted by the figure benches,
+Chrome trace file or a benchmark baseline) emitted by alertsim-campaign,
 alertsim_cli and alertsim-perf.
 
 Schemas: "alertsim-run-manifest/1" (docs/OBSERVABILITY.md) and
