@@ -1,21 +1,17 @@
 // scale_latency_vs_nodes: the fig14a-style curve continued past the paper's
 // 400-node x-axis into alert::scale territory. Runs one ALERT replication
 // per population (default 10k and 100k nodes; 1M is opt-in — it needs a few
-// GB of RSS and minutes of wall time) with the spatial grid on at the
-// paper's density (the arena grows as sqrt(n/200) km so neighbourhoods stay at
-// Sec. 5.2 scale), and writes one RunManifest with the latency and
-// events/s series, per-replication digests, and the per-subsystem
-// wall-clock self-profile (net.query isolates the neighbour index).
+// GB of RSS and minutes of wall time) at the paper's density (the arena
+// grows as sqrt(n/200) km so neighbourhoods stay at Sec. 5.2 scale), and
+// writes one RunManifest with the latency and events/s series,
+// per-replication digests, and the per-subsystem wall-clock self-profile
+// (net.query isolates the neighbour index).
 //
 // Usage:
 //   scale_latency_vs_nodes [--nodes 10000,100000] [--million]
-//                          [--duration 5] [--no-scale-backends]
+//                          [--duration 5]
 //                          [--out scale_latency_manifest.json] [--peak-rss]
 //                          [--log-level L]
-//
-// --no-scale-backends reruns the identical workload on the linear-scan
-// default (digests must match; see
-// tests/integration/scale_equivalence_test.cpp for the enforced version).
 
 #include <cstdio>
 #include <string>
@@ -39,7 +35,7 @@ int usage(const char* msg) {
   }
   std::fprintf(stderr,
                "usage: scale_latency_vs_nodes [--nodes N,N,...] [--million]\n"
-               "       [--duration S] [--no-scale-backends] [--out FILE]\n"
+               "       [--duration S] [--out FILE]\n"
                "       [--peak-rss] [--log-level L]\n");
   return 2;
 }
@@ -75,7 +71,6 @@ int main(int argc, char** argv) {
       args->get("nodes", std::string("10000,100000"));
   const bool million = args->get("million", false);
   const double duration_s = args->get("duration", 5.0);
-  const bool grid = !args->get("no-scale-backends", false);
   const std::string out_path =
       args->get("out", std::string("scale_latency_manifest.json"));
   const bool record_rss = args->get("peak-rss", false);
@@ -102,7 +97,6 @@ int main(int argc, char** argv) {
   manifest.x_label = "nodes";
   manifest.y_label = "latency (s)";
   manifest.add_param("duration_s", std::to_string(duration_s));
-  manifest.add_param("scale_backends", grid ? "true" : "false");
 
   util::Series latency;
   latency.name = "ALERT";
@@ -110,8 +104,7 @@ int main(int argc, char** argv) {
   events_per_s.name = "events_per_s";
 
   for (const std::size_t n : node_counts) {
-    core::ScenarioConfig config =
-        perf::scale_scenario(n, duration_s, grid);
+    core::ScenarioConfig config = perf::scale_scenario(n, duration_s);
     config.obs.profile = true;  // per-subsystem scopes, incl. net.query
     if (manifest.seed == 0) manifest.seed = config.seed;
     ALERT_LOG_INFO("scale bench: %zu nodes, %.1f s sim time...", n,

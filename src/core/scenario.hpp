@@ -58,12 +58,6 @@ struct ScenarioConfig {
   // streams, same digests, same canonical dump as before faults existed.
   faults::FaultPlan faults;
 
-  // Spatial-grid neighbour index (src/scale). Off by default and equally
-  // invisible (no `scale.grid` canonical key, no allocation); on, digests
-  // stay bit-identical — the grid changes complexity, not behaviour
-  // (docs/SCALE.md).
-  bool scale_grid = false;
-
   // Traffic: UDP/CBR, 512-byte packets, 10 random S-D pairs, one packet
   // every 2 s (Sec. 5.2).
   std::size_t flow_count = 10;

@@ -280,9 +280,6 @@ const std::map<std::string, Setter, std::less<>>& setters() {
     m["mac.arq.ack_bytes"] = [](ScenarioConfig& c, std::string_view v) {
       return parse_size_strict(v, &c.mac.arq.ack_bytes);
     };
-    m["scale.grid"] = [](ScenarioConfig& c, std::string_view v) {
-      return parse_bool_strict(v, &c.scale_grid);
-    };
     return m;
   }();
   return kSetters;
@@ -443,11 +440,6 @@ std::string canonical_scenario(const ScenarioConfig& c) {
     put("mac.arq.backoff_base_s", fmt_double(c.mac.arq.backoff_base_s));
     put("mac.arq.ack_bytes", std::to_string(c.mac.arq.ack_bytes));
   }
-
-  // Spatial grid: same conditional pattern — off is provably inert
-  // (nothing allocated, no RNG draw or event changed), so only `true` is
-  // emitted.
-  if (c.scale_grid) put("scale.grid", fmt_bool(true));
 
   put("residency_sample_period_s", fmt_double(c.residency_sample_period_s));
   put("run_attacks", fmt_bool(c.run_attacks));

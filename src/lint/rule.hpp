@@ -72,11 +72,11 @@ struct AnalyzerConfig {
       {"attack", {"util", "net"}},
       {"core",
        {"util", "sim", "net", "routing", "loc", "crypto", "attack", "obs",
-        "faults", "scale"}},
+        "faults"}},
       {"campaign", {"util", "analysis", "core", "obs", "routing"}},
       {"dist", {"util", "obs", "core", "campaign"}},
       {"perf",
-       {"util", "obs", "sim", "net", "core", "campaign", "scale", "lint"}},
+       {"util", "obs", "sim", "net", "core", "campaign", "lint"}},
       {"lint", {"util", "obs"}},
       // Test-only module (tests/integration/): end-to-end suites sit above
       // the whole DAG, so every module is a legal dependency.

@@ -75,7 +75,11 @@ Network::Network(sim::Simulator& simulator, NetworkConfig config,
       rng_(rng),
       horizon_(horizon),
       mac_(config.mac),
-      energy_(config.energy, config.node_count) {
+      energy_(config.energy, config.node_count),
+      grid_(config.field,
+            scale::SpatialGrid::cell_size_for(config.field,
+                                              config.radio_range_m),
+            static_cast<std::uint32_t>(config.node_count)) {
   assert(mobility_ != nullptr);
   if (obs::Profiler* profiler = sim_.profiler(); profiler != nullptr) {
     tx_scope_ = profiler->scope("net.transmit");
@@ -106,16 +110,11 @@ Network::Network(sim::Simulator& simulator, NetworkConfig config,
   handlers_.assign(nodes_.size(), nullptr);
 
   delivery_ids_.resize(nodes_.size());
-  if (config_.scale_grid) {
-    grid_ = std::make_unique<scale::SpatialGrid>(
-        config_.field, config_.radio_range_m,
-        static_cast<std::uint32_t>(nodes_.size()));
-  }
 
   mobility_->initialize(nodes_, rng_);
   for (auto& n : nodes_) {
     rotate_pseudonym(*n);
-    if (grid_ != nullptr) index_segment(*n);
+    index_segment(*n);
     schedule_mobility(*n);
   }
 
@@ -140,62 +139,25 @@ Network::~Network() = default;
 std::vector<NodeId> Network::nodes_within(util::Vec2 center, double radius,
                                           sim::Time t) const {
   std::vector<NodeId> out;
-  if (grid_ != nullptr) {
-    // The grid's candidates pass the same exact distance filter the scan
-    // applies, so after the ascending sort the result is identical.
-    out.resize(nodes_.size());
-    const std::size_t found = grid_->collect_in_disc(
-        center, radius,
-        [this, t](std::uint32_t id) { return nodes_[id]->position(t); },
-        out.data());
-    out.resize(found);
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-  const double r2 = radius * radius;
-  for (const auto& n : nodes_) {
-    if (util::distance_sq(n->position(t), center) <= r2) {
-      out.push_back(n->id());
-    }
-  }
+  grid_.collect_in_disc(center, radius, positions_at(t),
+                        [&out](NodeId id) { out.push_back(id); });
   return out;
 }
 
 std::size_t Network::neighbour_count(util::Vec2 center, double radius,
                                      sim::Time t) const {
   ALERT_OBS_TIMED(sim_.profiler(), query_scope_);
-  if (grid_ != nullptr) {
-    return grid_->count_in_disc(center, radius, [this, t](std::uint32_t id) {
-      return nodes_[id]->position(t);
-    });
-  }
-  const double r2 = radius * radius;
-  std::size_t count = 0;
-  for (const auto& n : nodes_) {
-    if (util::distance_sq(n->position(t), center) <= r2) ++count;
-  }
-  return count;
+  return grid_.count_in_disc(center, radius, positions_at(t));
 }
 
 std::size_t Network::gather_receivers(util::Vec2 center, double radius,
                                       sim::Time t) {
   ALERT_OBS_TIMED(sim_.profiler(), query_scope_);
-  if (grid_ != nullptr) {
-    const std::size_t found = grid_->collect_in_disc(
-        center, radius,
-        [this, t](std::uint32_t id) { return nodes_[id]->position(t); },
-        delivery_ids_.data());
-    std::sort(delivery_ids_.begin(),
-              delivery_ids_.begin() + static_cast<std::ptrdiff_t>(found));
-    return found;
-  }
-  const double r2 = radius * radius;
   std::size_t count = 0;
-  for (const auto& n : nodes_) {
-    if (util::distance_sq(n->position(t), center) <= r2) {
-      delivery_ids_[count++] = n->id();
-    }
-  }
+  grid_.collect_in_disc(center, radius, positions_at(t),
+                        [this, &count](NodeId id) {
+                          delivery_ids_[count++] = id;
+                        });
   return count;
 }
 
@@ -207,7 +169,7 @@ void Network::index_segment(Node& node) {
   // across cells no query will ever need.
   const sim::Time now = sim_.now();
   const sim::Time end = std::max(std::min(node.segment_end(), horizon_), now);
-  grid_->update(node.id(), node.position(now), node.position(end));
+  grid_.update(node.id(), node.position(now), node.position(end));
 }
 
 NodeId Network::resolve_pseudonym(Pseudonym p) const {
@@ -242,7 +204,7 @@ void Network::schedule_mobility(Node& node) {
   Node* n = &node;
   sim_.schedule_at(end, [this, n] {
     mobility_->next_segment(*n, sim_.now(), rng_);
-    if (grid_ != nullptr) index_segment(*n);
+    index_segment(*n);
     schedule_mobility(*n);
   });
 }

@@ -110,11 +110,6 @@ struct NetworkConfig {
   /// Channel/node adversity (src/faults). Inert by default: an all-off
   /// plan allocates nothing, draws nothing, audits nothing.
   faults::FaultPlan faults;
-  /// Answer range queries from a scale::SpatialGrid instead of the linear
-  /// scan (`scale.grid`). Off by default, and the grid is then never
-  /// allocated; on, results stay digest-identical (docs/SCALE.md) — only
-  /// the asymptotics change.
-  bool scale_grid = false;
 };
 
 class Network {
@@ -140,11 +135,16 @@ class Network {
   [[nodiscard]] util::Rng& rng() { return rng_; }
 
   /// Ids of nodes within `radius` of `center` at time `t`, ascending (the
-  /// channel equivalent of carrier range). O(N) scan by default; an O(k)
-  /// grid lookup with the identical result set when `scale.grid` is on.
+  /// channel equivalent of carrier range), answered by the neighbour index.
   [[nodiscard]] std::vector<NodeId> nodes_within(util::Vec2 center,
                                                  double radius,
                                                  sim::Time t) const;
+
+  /// The spatial index behind every range query; its cell layout follows
+  /// from the field and the radio range (scale::SpatialGrid::cell_size_for).
+  [[nodiscard]] const scale::SpatialGrid& neighbour_index() const {
+    return grid_;
+  }
 
   /// Resolve a pseudonym to the node currently owning it (simulator-level
   /// registry standing in for MAC-layer addressing). kInvalidNode if stale.
@@ -221,9 +221,12 @@ class Network {
   /// Reindex `node`'s grid coverage for its current motion segment,
   /// clipped to the simulation horizon (queries never look further).
   void index_segment(Node& node);
+  /// The grid's position callback: node id -> position at `t`.
+  [[nodiscard]] auto positions_at(sim::Time t) const {
+    return [this, t](std::uint32_t id) { return nodes_[id]->position(t); };
+  }
   /// Nodes within `radius` of `center` at `t` — count only, no id
-  /// materialization (what MAC contention needs; allocation-free on both
-  /// the scan and grid paths).
+  /// materialization (what MAC contention needs; allocation-free).
   [[nodiscard]] std::size_t neighbour_count(util::Vec2 center, double radius,
                                             sim::Time t) const;
   /// Fill delivery_ids_[0..count) with the ascending ids within range.
@@ -276,9 +279,8 @@ class Network {
   std::uint64_t arq_retries_ = 0;
   std::uint64_t broadcast_losses_ = 0;
 
-  /// Spatial index over current motion segments; null unless
-  /// config_.scale_grid.
-  std::unique_ptr<scale::SpatialGrid> grid_;
+  /// Spatial index over current motion segments.
+  scale::SpatialGrid grid_;
   /// Receiver scratch for deliver_broadcast, pre-sized to node_count so the
   /// gather writes by index (see gather_receivers).
   std::vector<NodeId> delivery_ids_;

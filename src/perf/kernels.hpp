@@ -34,13 +34,12 @@ std::uint64_t run_dispatch_batch(std::size_t events);
 /// `node_count` nodes placed uniformly in a square field (the paper's
 /// 1000x1000 m by default) with 250 m radio range. The simulator never
 /// runs — queries read the t=0 placement, so the topology is identical
-/// for a given (count, seed). `grid` routes every query through the
-/// scale::SpatialGrid instead of the linear scan; `field_side_m` lets the
-/// scale suite grow the arena with the population (paper density).
+/// for a given (count, seed). `field_side_m` lets the scale suite grow the
+/// arena with the population (paper density).
 class QueryTopology {
  public:
   explicit QueryTopology(std::size_t node_count,
-                         std::uint64_t seed = kKernelSeed, bool grid = false,
+                         std::uint64_t seed = kKernelSeed,
                          double field_side_m = 1000.0);
   ~QueryTopology();
 
@@ -67,10 +66,9 @@ class QueryTopology {
 /// The fig14a-style macro scenario scaled to `node_count` nodes at the
 /// paper's density (200 nodes / km^2): the field side grows as
 /// sqrt(node_count / 200) * 1000 m so per-node neighbourhood size stays at
-/// paper scale while the arena grows. `grid` turns on the spatial-grid
-/// neighbour index — the workload (and its digest) is identical either way.
+/// paper scale while the arena grows.
 [[nodiscard]] core::ScenarioConfig scale_scenario(std::size_t node_count,
-                                                  double duration_s, bool grid);
+                                                  double duration_s);
 
 /// What one timed macro replication produced (the throughput numerators).
 struct MacroRunStats {

@@ -300,7 +300,7 @@ constexpr Pin kScaleMacroDurationS{5, 2};
   const std::size_t query_nodes = kScaleQueryNodes.at(options.smoke);
   const double side =
       std::sqrt(static_cast<double>(query_nodes) / 200.0) * 1000.0;
-  const QueryTopology topology(query_nodes, kKernelSeed, /*grid=*/true, side);
+  const QueryTopology topology(query_nodes, kKernelSeed, side);
   const std::size_t queries = kScaleQueryCount.at(options.smoke);
   const Measurement query = measure(
       [&topology, queries] {
@@ -316,31 +316,16 @@ constexpr Pin kScaleMacroDurationS{5, 2};
   ALERT_LOG_INFO("perf scale: ns_per_neighbour_query_grid %.1f (iqr %.1f)",
                  query.median, query.iqr);
 
-  // The 10k-node fig14a-style macro run, once with the grid on and once
-  // with the linear scan. Identical workload and digest; only the
-  // complexity differs. The committed speedup value must
-  // stay >= 5x: the scale-smoke CI job asserts that floor on the baseline
-  // directly (the regression gate's scaled tolerance is too loose for an
-  // absolute floor).
+  // The 10k-node fig14a-style macro run at paper density.
   const std::size_t macro_nodes = kScaleMacroNodes.at(options.smoke);
   const double macro_duration =
       static_cast<double>(kScaleMacroDurationS.at(options.smoke));
-  const MeasureOptions macro_opts = options_for(options, kMacroRepeats, 1);
   const Measurement scaled = measure_macro_events_per_s(
-      scale_scenario(macro_nodes, macro_duration, /*grid=*/true), macro_opts);
-  const Measurement linear = measure_macro_events_per_s(
-      scale_scenario(macro_nodes, macro_duration, /*grid=*/false), macro_opts);
+      scale_scenario(macro_nodes, macro_duration),
+      options_for(options, kMacroRepeats, 1));
   report.add_metric(metric_from("events_per_s_10k", "events/s", scaled,
                          Stat::Median, /*higher_is_better=*/true, 30.0));
-  ALERT_INVARIANT(linear.median > 0.0, "linear macro kernel measured zero");
-  Measurement ratio;
-  ratio.median = scaled.median / linear.median;
-  ratio.min = ratio.median;
-  ratio.repeats = scaled.repeats;
-  report.add_metric(metric_from("speedup_10k_vs_linear", "x", ratio,
-                         Stat::Median, /*higher_is_better=*/true, 50.0));
-  ALERT_LOG_INFO("perf scale: events_per_s_10k %.0f, speedup vs linear %.1fx",
-                 scaled.median, scaled.median / linear.median);
+  ALERT_LOG_INFO("perf scale: events_per_s_10k %.0f", scaled.median);
 
   add_peak_rss(report);
   return report;

@@ -11,8 +11,7 @@
 ///               cache replay) paths, and peak RSS → BENCH_campaign.json
 ///   scale     — the spatial grid at arena scale: grid neighbour-query
 ///               ns/op at 10k nodes, a fig14a-style 10k-node macro run
-///               with the grid on (events/s) plus its speedup over the
-///               linear scan, and peak RSS → BENCH_scale.json
+///               (events/s), and peak RSS → BENCH_scale.json
 ///   lint      — alertsim-analyzer wall time over a generated source tree
 ///               of pinned shape (the real tree would drift as the repo
 ///               grows), single-threaded, and peak RSS → BENCH_lint.json

@@ -407,53 +407,16 @@ void AlertRouter::forward(net::Node& self, net::Packet pkt,
 }
 
 void AlertRouter::fallback_leg(net::Node& self, net::Packet pkt) {
-  const util::Vec2 self_pos = self.position(net_.now());
-  const util::Vec2 target = pkt.geo->dest_pos;
-
-  // Perimeter-mode exit test: closer to the zone than where greedy failed.
-  if (pkt.geo->perimeter_mode &&
-      util::distance(self_pos, target) <
-          util::distance(pkt.geo->perimeter_entry, target)) {
-    pkt.geo->perimeter_mode = false;
-  }
-  if (!pkt.geo->perimeter_mode) {
-    if (const auto* next = greedy_next_hop(self, self_pos, target)) {
-      seal_first_hop_ttl(self, pkt, *next);
-      ++stats_.forwards;
-      net_.unicast(self, next->pseudonym, std::move(pkt),
-                   config_.per_hop_processing_s);
-      return;
-    }
-    if (!config_.use_perimeter_fallback) {
-      ++stats_.data_dropped;
-      ledger_close(pkt, net::PacketFate::Dropped);
-      return;
-    }
-    pkt.geo->perimeter_mode = true;
-    pkt.geo->perimeter_entry = self_pos;
-    pkt.geo->face_cross_start = target;
-    pkt.geo->perimeter_first_hop = net::kInvalidNode;
-  }
-  util::Vec2 from = pkt.geo->face_cross_start;
-  if (pkt.prev_hop != net::kInvalidNode && pkt.prev_hop != self.id()) {
-    from = net_.node(pkt.prev_hop).position(net_.now());
-  }
-  const auto* next = perimeter_next_hop(self, self_pos, from);
-  if (next == nullptr) {
+  const GpsrHop hop =
+      gpsr_next_hop(net_, self, pkt, config_.use_perimeter_fallback);
+  if (hop.next == nullptr) {
     ++stats_.data_dropped;
     ledger_close(pkt, net::PacketFate::Dropped);
     return;
   }
-  const net::NodeId next_id = net_.resolve_pseudonym(next->pseudonym);
-  if (pkt.geo->perimeter_first_hop == net::kInvalidNode) {
-    pkt.geo->perimeter_first_hop = next_id;
-  } else if (next_id == pkt.geo->perimeter_first_hop) {
-    ++stats_.data_dropped;  // walked the whole face: zone unreachable
-    ledger_close(pkt, net::PacketFate::Dropped);
-    return;
-  }
+  if (hop.greedy) seal_first_hop_ttl(self, pkt, *hop.next);
   ++stats_.forwards;
-  net_.unicast(self, next->pseudonym, std::move(pkt),
+  net_.unicast(self, hop.next->pseudonym, std::move(pkt),
                config_.per_hop_processing_s);
 }
 

@@ -62,4 +62,42 @@ const net::NeighborInfo* perimeter_next_hop(const net::Node& self,
   return best;
 }
 
+GpsrHop gpsr_next_hop(const net::Network& net, const net::Node& self,
+                      net::Packet& pkt, bool use_perimeter) {
+  net::GeoFields& geo = *pkt.geo;
+  const util::Vec2 self_pos = self.position(net.now());
+  const util::Vec2 target = geo.dest_pos;
+
+  if (geo.perimeter_mode && util::distance(self_pos, target) <
+                                util::distance(geo.perimeter_entry, target)) {
+    geo.perimeter_mode = false;
+  }
+  if (!geo.perimeter_mode) {
+    if (const auto* next = greedy_next_hop(self, self_pos, target)) {
+      return {next, true};
+    }
+    if (!use_perimeter) return {};
+    geo.perimeter_mode = true;
+    geo.perimeter_entry = self_pos;
+    geo.face_cross_start = target;  // reference direction toward the target
+    geo.perimeter_first_hop = net::kInvalidNode;
+  }
+
+  // Right-hand rule around the face. The reference direction is the edge we
+  // arrived on (or toward the target when entering).
+  util::Vec2 from = geo.face_cross_start;
+  if (pkt.prev_hop != net::kInvalidNode && pkt.prev_hop != self.id()) {
+    from = net.node(pkt.prev_hop).position(net.now());
+  }
+  const auto* next = perimeter_next_hop(self, self_pos, from);
+  if (next == nullptr) return {};
+  const net::NodeId next_id = net.resolve_pseudonym(next->pseudonym);
+  if (geo.perimeter_first_hop == net::kInvalidNode) {
+    geo.perimeter_first_hop = next_id;
+  } else if (next_id == geo.perimeter_first_hop) {
+    return {};  // walked the whole face without getting closer
+  }
+  return {next, false};
+}
+
 }  // namespace alert::routing

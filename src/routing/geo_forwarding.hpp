@@ -11,6 +11,7 @@
 #include <optional>
 #include <vector>
 
+#include "net/network.hpp"
 #include "net/node.hpp"
 
 namespace alert::routing {
@@ -31,5 +32,23 @@ namespace alert::routing {
 /// node has no planar neighbours.
 [[nodiscard]] const net::NeighborInfo* perimeter_next_hop(
     const net::Node& self, util::Vec2 self_pos, util::Vec2 from);
+
+/// One hop of a GPSR leg toward `pkt.geo->dest_pos`.
+struct GpsrHop {
+  const net::NeighborInfo* next = nullptr;  ///< nullptr: drop the packet
+  bool greedy = false;                      ///< false: a perimeter hop
+};
+
+/// The greedy-then-perimeter state machine shared by GPSR and ALERT's
+/// fallback leg. Perimeter mode ends once `self` is closer to the target
+/// than where it began. Otherwise the packet goes greedy when a neighbour
+/// makes progress. At a local maximum it enters perimeter mode (only if
+/// `use_perimeter`) and takes the right-hand rule, arriving from its
+/// previous hop. A face walk that comes back to its first hop has no way
+/// through. Updates `pkt.geo`'s perimeter state; the caller seals, counts,
+/// unicasts or drops.
+[[nodiscard]] GpsrHop gpsr_next_hop(const net::Network& net,
+                                    const net::Node& self, net::Packet& pkt,
+                                    bool use_perimeter);
 
 }  // namespace alert::routing

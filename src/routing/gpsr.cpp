@@ -66,63 +66,19 @@ void GpsrRouter::forward(net::Node& self, net::Packet pkt) {
   --pkt.hops_remaining;
   ++pkt.hop_count;
 
-  const util::Vec2 self_pos = self.position(net_.now());
-  const util::Vec2 dest = pkt.geo->dest_pos;
   // Note: forwarding is purely position-based — a relay never "spots" the
   // destination in its table; D receives the packet only when greedy
   // selection toward the (possibly stale) destination position genuinely
   // picks it. This is what makes GPSR degrade without location updates
   // (Figs. 14b/15b/16b).
-
-  // Perimeter-mode exit test (closer to D than where greedy failed).
-  if (pkt.geo->perimeter_mode &&
-      util::distance(self_pos, dest) <
-          util::distance(pkt.geo->perimeter_entry, dest)) {
-    pkt.geo->perimeter_mode = false;
-  }
-
-  if (!pkt.geo->perimeter_mode) {
-    if (const auto* next = greedy_next_hop(self, self_pos, dest)) {
-      ++stats_.forwards;
-      net_.unicast(self, next->pseudonym, std::move(pkt),
-                   config_.per_hop_processing_s);
-      return;
-    }
-    if (!config_.use_perimeter) {
-      ++stats_.data_dropped;
-      ledger_close(pkt, net::PacketFate::Dropped);
-      return;
-    }
-    // Enter perimeter mode at this local maximum.
-    pkt.geo->perimeter_mode = true;
-    pkt.geo->perimeter_entry = self_pos;
-    pkt.geo->face_cross_start = dest;  // reference direction toward D
-    pkt.geo->perimeter_first_hop = net::kInvalidNode;
-  }
-
-  // Right-hand rule around the face. The reference direction is the edge we
-  // arrived on (or toward D when entering).
-  util::Vec2 from = pkt.geo->face_cross_start;
-  if (pkt.prev_hop != net::kInvalidNode && pkt.prev_hop != self.id()) {
-    from = net_.node(pkt.prev_hop).position(net_.now());
-  }
-  const auto* next = perimeter_next_hop(self, self_pos, from);
-  if (next == nullptr) {
-    ++stats_.data_dropped;
-    ledger_close(pkt, net::PacketFate::Dropped);
-    return;
-  }
-  const net::NodeId next_id = net_.resolve_pseudonym(next->pseudonym);
-  if (pkt.geo->perimeter_first_hop == net::kInvalidNode) {
-    pkt.geo->perimeter_first_hop = next_id;
-  } else if (next_id == pkt.geo->perimeter_first_hop) {
-    // Completed the face without getting closer: unreachable.
+  const GpsrHop hop = gpsr_next_hop(net_, self, pkt, config_.use_perimeter);
+  if (hop.next == nullptr) {
     ++stats_.data_dropped;
     ledger_close(pkt, net::PacketFate::Dropped);
     return;
   }
   ++stats_.forwards;
-  net_.unicast(self, next->pseudonym, std::move(pkt),
+  net_.unicast(self, hop.next->pseudonym, std::move(pkt),
                config_.per_hop_processing_s);
 }
 

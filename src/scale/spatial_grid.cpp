@@ -7,6 +7,11 @@
 
 namespace alert::scale {
 
+double SpatialGrid::cell_size_for(util::Rect field, double range) {
+  const double side = std::max(field.width(), field.height());
+  return side >= kMinRangesAcross * range ? range : side;
+}
+
 SpatialGrid::SpatialGrid(util::Rect field, double cell_size,
                          std::uint32_t max_ids)
     : field_(field),
@@ -18,13 +23,16 @@ SpatialGrid::SpatialGrid(util::Rect field, double cell_size,
       inv_cell_(1.0 / cell_size_) {
   ALERT_INVARIANT(field.width() >= 0.0 && field.height() >= 0.0,
                   "SpatialGrid field must be non-degenerate");
+  // Divide rather than multiply by inv_cell_: a cell as wide as the field
+  // must give exactly one column.
   cols_ = static_cast<std::uint32_t>(
-      std::max(1.0, std::ceil(field.width() * inv_cell_)));
+      std::max(1.0, std::ceil(field.width() / cell_size_)));
   rows_ = static_cast<std::uint32_t>(
-      std::max(1.0, std::ceil(field.height() * inv_cell_)));
+      std::max(1.0, std::ceil(field.height() / cell_size_)));
   cells_.resize(static_cast<std::size_t>(cols_) * rows_);
   id_cells_.resize(max_ids);
   stamp_.assign(max_ids, 0);
+  matches_.resize(max_ids);
 }
 
 std::uint32_t SpatialGrid::col_of(double x) const {
@@ -48,24 +56,25 @@ SpatialGrid::QueryBox SpatialGrid::query_box(util::Vec2 center,
                   row_of(center.y - pad), row_of(center.y + pad)};
 }
 
-void SpatialGrid::insert(std::uint32_t id, std::uint32_t cell) {
-  std::vector<std::uint32_t>& covered = id_cells_[id];
-  if (std::find(covered.begin(), covered.end(), cell) != covered.end()) return;
-  covered.push_back(cell);
-  cells_[cell].push_back(id);
-}
-
 void SpatialGrid::update(std::uint32_t id, util::Vec2 a, util::Vec2 b) {
   ALERT_INVARIANT(id < id_cells_.size(), "SpatialGrid::update id out of range");
+  trace_segment(field_.clamp(a), field_.clamp(b));
+  if (covering_ == id_cells_[id]) return;
   remove(id);
-  a = field_.clamp(a);
-  b = field_.clamp(b);
+  for (const std::uint32_t cell : covering_) {
+    std::vector<std::uint32_t>& bucket = cells_[cell];
+    bucket.insert(std::lower_bound(bucket.begin(), bucket.end(), id), id);
+  }
+  id_cells_[id] = covering_;
+}
 
+void SpatialGrid::trace_segment(util::Vec2 a, util::Vec2 b) {
+  covering_.clear();
   std::uint32_t cx = col_of(a.x);
   std::uint32_t cy = row_of(a.y);
   const std::uint32_t ex = col_of(b.x);
   const std::uint32_t ey = row_of(b.y);
-  insert(id, cy * cols_ + cx);
+  covering_.push_back(cy * cols_ + cx);
   if (cx == ex && cy == ey) return;
 
   // Amanatides–Woo traversal from a to b: t is the segment parameter in
@@ -121,21 +130,22 @@ void SpatialGrid::update(std::uint32_t id, util::Vec2 a, util::Vec2 b) {
       t_max_y += t_delta_y;  // alert-lint: allow(fp-accumulation-order)
     }
     if (cx >= cols_ || cy >= rows_) break;  // fp drift past the clamped end
-    insert(id, cy * cols_ + cx);
+    covering_.push_back(cy * cols_ + cx);
   }
-  insert(id, ey * cols_ + ex);
+  covering_.push_back(ey * cols_ + ex);
+  std::sort(covering_.begin(), covering_.end());
+  covering_.erase(std::unique(covering_.begin(), covering_.end()),
+                  covering_.end());
 }
 
 void SpatialGrid::remove(std::uint32_t id) {
   ALERT_INVARIANT(id < id_cells_.size(), "SpatialGrid::remove id out of range");
   for (const std::uint32_t cell : id_cells_[id]) {
     std::vector<std::uint32_t>& bucket = cells_[cell];
-    const auto it = std::find(bucket.begin(), bucket.end(), id);
-    ALERT_ASSERT(it != bucket.end(), "SpatialGrid cell list out of sync");
-    if (it != bucket.end()) {
-      *it = bucket.back();
-      bucket.pop_back();
-    }
+    const auto it = std::lower_bound(bucket.begin(), bucket.end(), id);
+    ALERT_ASSERT(it != bucket.end() && *it == id,
+                 "SpatialGrid cell list out of sync");
+    if (it != bucket.end() && *it == id) bucket.erase(it);
   }
   id_cells_[id].clear();
 }

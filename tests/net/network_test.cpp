@@ -270,33 +270,62 @@ TEST(Network, PseudonymResolutionMatchesFullScan) {
   EXPECT_EQ(net.resolve_pseudonym(0xFFFFFFFFDEADULL), kInvalidNode);
 }
 
-TEST(Network, GridNeighbourQueriesMatchLinearScan) {
-  // Two networks, identical seed and mobility, one with the spatial grid:
-  // nodes_within must agree exactly at arbitrary times mid-flight.
-  auto build = [](bool grid) {
-    NetworkConfig cfg;
-    cfg.node_count = 120;
-    cfg.scale_grid = grid;
-    auto simulator = std::make_unique<sim::Simulator>();
-    auto net = std::make_unique<Network>(
-        *simulator, cfg,
-        std::make_unique<RandomWaypoint>(cfg.field, 20.0), util::Rng(77),
-        /*horizon=*/50.0);
-    return std::make_pair(std::move(simulator), std::move(net));
-  };
-  auto [sim_a, linear] = build(false);
-  auto [sim_b, gridded] = build(true);
-  util::Rng centers(123);
-  for (double t = 0.0; t <= 40.0; t += 5.0) {
-    sim_a->run_until(t);
-    sim_b->run_until(t);
-    for (int q = 0; q < 20; ++q) {
-      const util::Vec2 c = centers.point_in(linear->config().field);
-      const double r = centers.uniform(50.0, 400.0);
-      EXPECT_EQ(linear->nodes_within(c, r, t), gridded->nodes_within(c, r, t))
-          << "t=" << t;
+/// Brute-force oracle: every node within `radius` of `center` at `t`,
+/// ascending — the linear scan the neighbour index replaced.
+std::vector<NodeId> scan_within(const Network& net, util::Vec2 center,
+                                double radius, sim::Time t) {
+  std::vector<NodeId> out;
+  for (NodeId id = 0; id < net.size(); ++id) {
+    if (util::distance_sq(net.node(id).position(t), center) <=
+        radius * radius) {
+      out.push_back(id);
     }
   }
+  return out;
+}
+
+TEST(Network, GridNeighbourQueriesMatchLinearScan) {
+  // nodes_within must equal the scan exactly at arbitrary times mid-flight,
+  // on the paper's field (one cell) and on a field wide enough for
+  // range-sized cells.
+  for (const double side : {1000.0, 2500.0}) {
+    NetworkConfig cfg;
+    cfg.field = util::Rect{0.0, 0.0, side, side};
+    cfg.node_count = 120;
+    sim::Simulator simulator;
+    Network net(simulator, cfg,
+                std::make_unique<RandomWaypoint>(cfg.field, 20.0),
+                util::Rng(77), /*horizon=*/50.0);
+    EXPECT_EQ(net.neighbour_index().cols(), side == 1000.0 ? 1u : 10u);
+    util::Rng centers(123);
+    for (double t = 0.0; t <= 40.0; t += 5.0) {
+      simulator.run_until(t);
+      for (int q = 0; q < 20; ++q) {
+        const util::Vec2 c = centers.point_in(cfg.field);
+        const double r = centers.uniform(50.0, 400.0);
+        EXPECT_EQ(net.nodes_within(c, r, t), scan_within(net, c, r, t))
+            << "side=" << side << " t=" << t;
+      }
+    }
+  }
+}
+
+TEST(Network, NeighbourIndexLayoutFollowsFieldAndRange) {
+  // The paper's 1000 m field at 250 m range is one cell; the 10k-node
+  // paper-density arena (7071 m side) gets range-sized cells.
+  auto layout = [](double side) {
+    NetworkConfig cfg;
+    cfg.field = util::Rect{0.0, 0.0, side, side};
+    cfg.node_count = 4;
+    sim::Simulator simulator;
+    const Network net(simulator, cfg,
+                      std::make_unique<StaticPlacement>(cfg.field),
+                      util::Rng(5), /*horizon=*/0.0);
+    return std::make_pair(net.neighbour_index().cols(),
+                          net.neighbour_index().rows());
+  };
+  EXPECT_EQ(layout(1000.0), std::make_pair(1u, 1u));
+  EXPECT_EQ(layout(7071.0), std::make_pair(29u, 29u));
 }
 
 }  // namespace

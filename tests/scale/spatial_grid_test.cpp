@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "util/geometry.hpp"
@@ -24,16 +25,28 @@ std::vector<std::uint32_t> scan_disc(const std::vector<util::Vec2>& pos,
   return out;
 }
 
-std::vector<std::uint32_t> grid_disc(SpatialGrid& grid,
+std::vector<std::uint32_t> grid_disc(const SpatialGrid& grid,
                                      const std::vector<util::Vec2>& pos,
                                      util::Vec2 center, double radius) {
-  std::vector<std::uint32_t> out(pos.size());
-  const std::size_t n = grid.collect_in_disc(
+  std::vector<std::uint32_t> out;
+  grid.collect_in_disc(
       center, radius, [&pos](std::uint32_t id) { return pos[id]; },
-      out.data());
-  out.resize(n);
-  std::sort(out.begin(), out.end());
+      [&out](std::uint32_t id) { out.push_back(id); });
   return out;
+}
+
+/// Whether every cell's id list is strictly ascending.
+bool cells_ascending(const SpatialGrid& grid) {
+  for (std::uint32_t row = 0; row < grid.rows(); ++row) {
+    for (std::uint32_t col = 0; col < grid.cols(); ++col) {
+      const std::vector<std::uint32_t>& ids = grid.ids_in_cell(col, row);
+      if (std::adjacent_find(ids.begin(), ids.end(),
+                             std::greater_equal<>()) != ids.end()) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 TEST(SpatialGrid, DimensionsCoverField) {
@@ -148,6 +161,41 @@ TEST(SpatialGrid, MovingIdsMatchScanAtInterpolatedTimes) {
     EXPECT_EQ(grid_disc(grid, pos, center, radius),
               scan_disc(pos, center, radius));
   }
+}
+
+TEST(SpatialGrid, CellListsStayAscendingThroughUpdateAndRemove) {
+  // Ids are indexed in a scrambled order and move, shrink and leave; every
+  // cell must keep its list ascending so one-cell queries need no sort.
+  util::Rng rng(12);
+  const std::uint32_t n = 120;
+  SpatialGrid grid(kField, 250.0, n);
+  std::vector<std::uint32_t> order(n);
+  for (std::uint32_t i = 0; i < n; ++i) order[i] = (i * 37) % n;
+  for (const std::uint32_t id : order) {
+    grid.update(id, rng.point_in(kField), rng.point_in(kField));
+  }
+  EXPECT_TRUE(cells_ascending(grid));
+  for (int round = 0; round < 200; ++round) {
+    const auto id = static_cast<std::uint32_t>(rng.below(n));
+    if (round % 5 == 0) {
+      grid.remove(id);
+    } else {
+      const util::Vec2 a = rng.point_in(kField);
+      grid.update(id, a, round % 3 == 0 ? a : rng.point_in(kField));
+    }
+    ASSERT_TRUE(cells_ascending(grid)) << "round " << round;
+  }
+}
+
+TEST(SpatialGrid, NarrowFieldsGetOneCell) {
+  const double edge = SpatialGrid::kMinRangesAcross * 250.0;
+  EXPECT_EQ(SpatialGrid::cell_size_for(kField, 250.0), 1000.0);
+  EXPECT_EQ(SpatialGrid::cell_size_for({0.0, 0.0, edge, 10.0}, 250.0),
+            250.0);
+  const SpatialGrid one(kField, SpatialGrid::cell_size_for(kField, 250.0),
+                        1);
+  EXPECT_EQ(one.cols(), 1u);
+  EXPECT_EQ(one.rows(), 1u);
 }
 
 TEST(SpatialGrid, TinyCellSizeIsClamped) {
