@@ -295,6 +295,17 @@ void Network::deliver_broadcast(NodeId sender, const Packet& pkt,
   const sim::Time now = sim_.now();
   const std::size_t receiver_count =
       gather_receivers(sender_pos, config_.radio_range_m, now);
+  // Jammer discs exist only when the plan has outages; the sender's side
+  // of the test is the same for every receiver.
+  const bool jamming = !config_.faults.outages.empty();
+  const bool sender_jammed = jamming && config_.faults.jammed(sender_pos, now);
+  // Every receiver of a hello learns the same entry.
+  NeighborInfo hello;
+  if (pkt.kind == PacketKind::Hello) {
+    const Node& s = *nodes_[sender];
+    hello = NeighborInfo{pkt.src_pseudonym, s.position(now), &s.public_key(),
+                         now};
+  }
   for (std::size_t i = 0; i < receiver_count; ++i) {
     const NodeId id = delivery_ids_[i];
     if (id == sender) continue;
@@ -304,19 +315,15 @@ void Network::deliver_broadcast(NodeId sender, const Packet& pkt,
     // the loss model's independent draw for this receiver. No ack exists
     // for broadcasts, so a loss is simply a missed reception (this is what
     // starves neighbour tables under loss — hellos are broadcasts too).
-    if (config_.faults.jammed(sender_pos, now) ||
-        config_.faults.jammed(receiver.position(now), now) ||
+    if (sender_jammed ||
+        (jamming && config_.faults.jammed(receiver.position(now), now)) ||
         (channel_ != nullptr && channel_->lose_frame(sender, id))) {
       ++broadcast_losses_;
       continue;
     }
     energy_.charge_rx(id, pkt.size_bytes);
     if (pkt.kind == PacketKind::Hello) {
-      const Node& s = *nodes_[sender];
-      receiver.observe_neighbor(
-          NeighborInfo{pkt.src_pseudonym, s.position(now), s.public_key(),
-                       now},
-          now);
+      receiver.observe_neighbor(hello, now);
       receiver.expire_neighbors(now, config_.neighbor_max_age_s);
       continue;  // hellos are consumed by the neighbour layer
     }

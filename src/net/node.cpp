@@ -1,6 +1,8 @@
 #include "net/node.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstddef>
 
 namespace alert::net {
 
@@ -17,50 +19,89 @@ util::Vec2 Node::position(sim::Time t) const {
   return seg_start_pos_ + velocity_ * (effective - seg_start_);
 }
 
-void Node::observe_neighbor(const NeighborInfo& info, sim::Time now) {
-  for (auto& n : neighbors_) {
-    if (n.pseudonym == info.pseudonym) {
-      n = info;
-      n.last_heard = now;
-      return;
+void Node::set_alive(bool up) {
+  alive_ = up;
+  if (!up) {
+    neighbors_.clear();
+    std::fill(slots_.begin(), slots_.end(), std::uint16_t{0});
+    oldest_heard_ = kNeverHeard;
+    mac_busy_until = 0.0;
+  }
+}
+
+std::size_t Node::home_slot(Pseudonym p) const {
+  // Fibonacci hashing: the top bits of the product depend on every bit of
+  // the pseudonym, so small consecutive values spread too.
+  const int shift = 64 - std::countr_zero(slots_.size());
+  return static_cast<std::size_t>((p * 0x9E3779B97F4A7C15ULL) >> shift);
+}
+
+Node::Probe Node::probe(Pseudonym p) const {
+  // Entries are never unlinked from the index, only rebuilt without, so an
+  // entry's own slot lies between its home slot and the next empty one.
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t s = home_slot(p);
+  for (; slots_[s] != 0; s = (s + 1) & mask) {
+    for (std::size_t i = slots_[s] - 1U; i < neighbors_.size();
+         i += kTagModulus) {
+      if (neighbors_[i].pseudonym == p) return {s, i};
     }
+  }
+  return {s, kAbsent};
+}
+
+void Node::rebuild_index() {
+  const std::size_t size =
+      std::max(kMinSlots, std::bit_ceil(2 * neighbors_.capacity()));
+  const std::size_t mask = size - 1;
+  slots_.assign(size, 0);
+  for (std::size_t i = 0; i < neighbors_.size(); ++i) {
+    std::size_t s = home_slot(neighbors_[i].pseudonym);
+    while (slots_[s] != 0) s = (s + 1) & mask;
+    slots_[s] = tag_of(i);
+  }
+}
+
+void Node::observe_neighbor(const NeighborInfo& info, sim::Time now) {
+  oldest_heard_ = std::min(oldest_heard_, now);
+  const Probe found = probe(info.pseudonym);
+  if (found.position != kAbsent) {
+    NeighborInfo& n = neighbors_[found.position];
+    n = info;
+    n.last_heard = now;
+    return;
   }
   NeighborInfo entry = info;
   entry.last_heard = now;
+  const std::size_t capacity = neighbors_.capacity();
   neighbors_.push_back(entry);
+  if (neighbors_.capacity() != capacity) {
+    rebuild_index();
+  } else {
+    slots_[found.slot] = tag_of(neighbors_.size() - 1);
+  }
 }
 
 void Node::expire_neighbors(sim::Time now, double max_age) {
-  std::erase_if(neighbors_, [now, max_age](const NeighborInfo& n) {
-    return now - n.last_heard > max_age;
-  });
+  // Every entry was heard at or after oldest_heard_, and `now - t` only
+  // grows as t falls: unless the bound itself is stale, the sweep would
+  // remove nothing.
+  if (!(now - oldest_heard_ > max_age)) return;
+  oldest_heard_ = kNeverHeard;
+  const std::size_t removed =
+      std::erase_if(neighbors_, [this, now, max_age](const NeighborInfo& n) {
+        if (now - n.last_heard > max_age) return true;
+        oldest_heard_ = std::min(oldest_heard_, n.last_heard);
+        return false;
+      });
+  if (removed != 0) rebuild_index();
 }
 
 void Node::remove_neighbor(Pseudonym p) {
-  std::erase_if(neighbors_,
-                [p](const NeighborInfo& n) { return n.pseudonym == p; });
-}
-
-const NeighborInfo* Node::find_neighbor(Pseudonym p) const {
-  for (const auto& n : neighbors_) {
-    if (n.pseudonym == p) return &n;
-  }
-  return nullptr;
-}
-
-const NeighborInfo* Node::closest_neighbor_to(
-    util::Vec2 target, std::optional<Pseudonym> exclude) const {
-  const NeighborInfo* best = nullptr;
-  double best_d = 0.0;
-  for (const auto& n : neighbors_) {
-    if (exclude && n.pseudonym == *exclude) continue;
-    const double d = util::distance_sq(n.position, target);
-    if (best == nullptr || d < best_d) {
-      best = &n;
-      best_d = d;
-    }
-  }
-  return best;
+  const std::size_t position = probe(p).position;
+  if (position == kAbsent) return;
+  neighbors_.erase(neighbors_.begin() + static_cast<std::ptrdiff_t>(position));
+  rebuild_index();
 }
 
 }  // namespace alert::net

@@ -309,7 +309,7 @@ void AlertRouter::seal_first_hop_ttl(net::Node& self, net::Packet& pkt,
   const std::uint64_t plain =
       (kTtlMagic << 8) | static_cast<std::uint64_t>(config_.max_hops & 0xFF);
   pkt.alert->ttl_enc =
-      crypto::rsa_encrypt_value(next.pubkey, plain % next.pubkey.n);
+      crypto::rsa_encrypt_value(*next.pubkey, plain % next.pubkey->n);
   charge_crypto(self, net_.config().crypto_cost.verify_s);
 }
 

@@ -5,7 +5,8 @@
 /// determinism digest, event count and run-manifest bytes its linear-scan
 /// run produced — across mobility models, fault injection and ARQ. A
 /// 10k-node run additionally proves the grid holds up at arena scale with
-/// a clean packet ledger.
+/// a clean packet ledger, and a dense paper-field run pins the neighbour
+/// tables' upkeep at ~150 entries per table.
 
 #include <gtest/gtest.h>
 
@@ -49,12 +50,22 @@ std::string manifest_bytes(const core::RunResult& run) {
   return bytes;
 }
 
-/// What the linear-scan run of a scenario produced.
+/// What the replaced implementation's run of a scenario produced.
 struct ScanOutcome {
   std::uint64_t trace_digest;
   std::uint64_t events_executed;
   const char* manifest_sha1;
 };
+
+void expect_outcome(const core::ScenarioConfig& config,
+                    const ScanOutcome& pinned) {
+  const core::RunResult run = core::run_once(config, 0);
+  ASSERT_GT(run.sent, 0u);
+  EXPECT_EQ(run.trace_digest, pinned.trace_digest);
+  EXPECT_EQ(run.events_executed, pinned.events_executed);
+  EXPECT_EQ(crypto::to_hex(crypto::Sha1::hash(manifest_bytes(run))),
+            pinned.manifest_sha1);
+}
 
 void expect_matches_scan(const core::ScenarioConfig& config,
                          const ScanOutcome& scan) {
@@ -62,12 +73,7 @@ void expect_matches_scan(const core::ScenarioConfig& config,
                                               config.radio_range_m),
             config.radio_range_m)
       << "the field must be wide enough for range-sized cells";
-  const core::RunResult run = core::run_once(config, 0);
-  ASSERT_GT(run.sent, 0u);
-  EXPECT_EQ(run.trace_digest, scan.trace_digest);
-  EXPECT_EQ(run.events_executed, scan.events_executed);
-  EXPECT_EQ(crypto::to_hex(crypto::Sha1::hash(manifest_bytes(run))),
-            scan.manifest_sha1);
+  expect_outcome(config, scan);
 }
 
 // The pinned outcomes were read from the linear scan's runs of these exact
@@ -127,6 +133,22 @@ TEST(ScaleEquivalence, TenThousandNodesLeakFree) {
   EXPECT_GT(run.packets_opened, 0u);
   EXPECT_EQ(run.trace_digest, 0x7600795a688c97ffULL);
   EXPECT_EQ(run.events_executed, 104274u);
+}
+
+TEST(ScaleEquivalence, DensePaperFieldGpsr) {
+  // The paper's 1000 m field at 800 nodes, about 150 neighbours per table:
+  // the density of paperbench's dense-gpsr workload, where hello upkeep is
+  // nearly all the work. The outcome was read from the eager neighbour
+  // table (linear search per hello, full sweep per expiry call) that the
+  // pseudonym index and expiry bound replaced.
+  core::ScenarioConfig config;
+  config.node_count = 800;
+  config.duration_s = 6.0;
+  config.flow_count = 5;
+  config.protocol = core::ProtocolKind::Gpsr;
+  config.seed = 800;
+  expect_outcome(config, {0x50f0885b0cd9d3ffULL, 9899,
+                          "9b86558e51a682d936374604fda0c5c87d0a4b42"});
 }
 
 /// The `key=value` lines of `text` whose key starts with `prefix`.

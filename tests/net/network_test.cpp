@@ -91,12 +91,32 @@ TEST(Network, HelloBeaconsPopulateNeighborTables) {
   EXPECT_EQ(f.net->node(0).neighbors()[0].position, util::Vec2(100, 0));
 }
 
+TEST(Network, JammerDiscSilencesHellosBothWays) {
+  // Node 3 sits inside a jammer disc for the whole run: it neither hears
+  // node 2's hellos (receiver jammed) nor reaches node 2 (sender jammed),
+  // while the unjammed pair 0-1 sees each other as usual.
+  NetworkConfig cfg;
+  cfg.field = {0.0, 0.0, 1000.0, 1000.0};
+  cfg.node_count = 4;
+  cfg.faults.outages.push_back({{600.0, 0.0}, 50.0, 0.0, 1000.0});
+  sim::Simulator simulator;
+  Network net(simulator, cfg,
+              std::make_unique<StaticPlacement>(std::vector<util::Vec2>{
+                  {0, 0}, {100, 0}, {500, 0}, {600, 0}}),
+              util::Rng(99), /*horizon=*/1000.0);
+  simulator.run_until(3.0);
+  EXPECT_EQ(net.node(0).neighbors().size(), 1u);
+  EXPECT_EQ(net.node(1).neighbors().size(), 1u);
+  EXPECT_TRUE(net.node(2).neighbors().empty());
+  EXPECT_TRUE(net.node(3).neighbors().empty());
+}
+
 TEST(Network, HelloCarriesPublicKey) {
   Fixture f({{0, 0}, {100, 0}});
   f.simulator.run_until(3.0);
   ASSERT_FALSE(f.net->node(0).neighbors().empty());
-  EXPECT_EQ(f.net->node(0).neighbors()[0].pubkey.n,
-            f.net->node(1).public_key().n);
+  EXPECT_EQ(f.net->node(0).neighbors()[0].pubkey,
+            &f.net->node(1).public_key());
 }
 
 TEST(Network, UnicastDeliversToHandlerInRange) {
